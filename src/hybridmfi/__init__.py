@@ -14,7 +14,6 @@ from .dataset import (
     to_fimi,
 )
 from .hdr import (
-    Cell,
     CostCounters,
     CountMode,
     HdrStore,
@@ -29,15 +28,8 @@ from .miner import (
     LmfiView,
     MfiStore,
     MinerConfig,
-    NodeFrame,
     SearchStats,
-    fhut_signal,
-    hut_prune_check,
-    lmfi_project,
-    maximality_insert,
     mine_mfi,
-    pep_trim,
-    reorder_tail,
 )
 from .oracle import (
     BRUTEFORCE_MAX_ITEMS,
@@ -62,7 +54,6 @@ __all__ = [
     "prune_and_remap",
     "read_fimi",
     "to_fimi",
-    "Cell",
     "CostCounters",
     "CountMode",
     "HdrStore",
@@ -75,15 +66,8 @@ __all__ = [
     "LmfiView",
     "MfiStore",
     "MinerConfig",
-    "NodeFrame",
     "SearchStats",
-    "fhut_signal",
-    "hut_prune_check",
-    "lmfi_project",
-    "maximality_insert",
     "mine_mfi",
-    "pep_trim",
-    "reorder_tail",
     "BRUTEFORCE_MAX_ITEMS",
     "CapacityError",
     "FrequentSet",

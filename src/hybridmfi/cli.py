@@ -265,18 +265,20 @@ def cmd_bench(args) -> int:
         raw = _load_dataset(dataset)
         for minsup in grid:
             minsup_abs = resolve_minsup(minsup, len(raw.transactions))
-            group_counts: dict[str, int] = {}
+            outputs: dict[str, str] = {}
             for algorithm in algorithms:
-                _, _, report = _run_algorithm(
+                result, item_map, report = _run_algorithm(
                     algorithm, raw, minsup_abs, CountMode(args.mode), flags, args.counters
                 )
                 report.dataset = dataset
-                group_counts[algorithm] = report.mfi_count
+                outputs[algorithm] = render_mfi(result, item_map)
                 rows.append(report.csv_row())
-            if len(set(group_counts.values())) > 1:
+            reference = algorithms[0]
+            differing = [a for a in algorithms if outputs[a] != outputs[reference]]
+            if differing:
                 print(
-                    f"error: mfi_count mismatch on {dataset} at minsup {minsup_abs}: "
-                    + ", ".join(f"{a}={c}" for a, c in group_counts.items()),
+                    f"error: output mismatch on {dataset} at minsup {minsup_abs}: "
+                    + ", ".join(differing) + f" differ from {reference}",
                     file=sys.stderr,
                 )
                 return EXIT_INTERNAL

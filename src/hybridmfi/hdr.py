@@ -1,6 +1,7 @@
-"""Hybrid transaction store: one flat cell per item occurrence, linked
-horizontally (within its transaction), vertically (per item, across
-transactions in ascending order), and mirrored by a per-transaction bitmap.
+"""Hybrid transaction store. The horizontal part is one flat array of
+cells, one per item occurrence, grouped by transaction; the vertical part is
+one bitmap per transaction, plus each item's ascending transaction list,
+which gives the root projection without a scan.
 
 Support counting at a search node runs in one of two modes over the node's
 projected transactions (its Pdr): a horizontal scan that walks each
@@ -36,19 +37,6 @@ class CostCounters:
     bit_tests: int = 0
 
 
-@dataclass(frozen=True)
-class Cell:
-    """Read-only view of one occurrence. Link fields are cell indices or
-    None at a chain end."""
-
-    item: int
-    txn: int
-    h_prev: int | None
-    h_next: int | None
-    v_prev: int | None
-    v_next: int | None
-
-
 @dataclass(slots=True)
 class Pdr:
     """A node's projection: the ascending transaction indices containing its
@@ -66,47 +54,29 @@ class Pdr:
 
 
 class HdrStore:
-    """Cells grouped contiguously by transaction, with link arrays and
-    per-transaction bitmaps. ``txn_first_cell`` has one trailing sentinel
-    entry equal to the cell count, so transaction t owns the half-open cell
-    range [txn_first_cell[t], txn_first_cell[t+1])."""
+    """The hybrid layout. Horizontal: ``cell_item`` holds every transaction's
+    ranks contiguously and ascending, and ``txn_first_cell`` has one trailing
+    sentinel entry equal to the cell count, so transaction t owns the
+    half-open cell range [txn_first_cell[t], txn_first_cell[t+1]). Vertical:
+    ``txn_bitmap[t]`` has bit x set iff transaction t contains rank x, and
+    ``item_txns[x]`` lists the transactions containing rank x in ascending
+    order."""
 
-    __slots__ = (
-        "db",
-        "cell_item",
-        "cell_txn",
-        "h_prev",
-        "h_next",
-        "v_prev",
-        "v_next",
-        "txn_first_cell",
-        "txn_bitmap",
-        "item_first_cell",
-    )
+    __slots__ = ("db", "cell_item", "txn_first_cell", "txn_bitmap", "item_txns")
 
     def __init__(
         self,
         db: TransactionDatabase,
         cell_item: list[int],
-        cell_txn: list[int],
-        h_prev: list[int],
-        h_next: list[int],
-        v_prev: list[int],
-        v_next: list[int],
         txn_first_cell: list[int],
         txn_bitmap: list[int],
-        item_first_cell: list[int],
+        item_txns: list[list[int]],
     ):
         self.db = db
         self.cell_item = cell_item
-        self.cell_txn = cell_txn
-        self.h_prev = h_prev
-        self.h_next = h_next
-        self.v_prev = v_prev
-        self.v_next = v_next
         self.txn_first_cell = txn_first_cell
         self.txn_bitmap = txn_bitmap
-        self.item_first_cell = item_first_cell
+        self.item_txns = item_txns
 
     @property
     def item_count(self) -> int:
@@ -120,19 +90,6 @@ class HdrStore:
     def cell_count(self) -> int:
         return len(self.cell_item)
 
-    def cell(self, index: int) -> Cell:
-        def opt(link: int) -> int | None:
-            return None if link == -1 else link
-
-        return Cell(
-            item=self.cell_item[index],
-            txn=self.cell_txn[index],
-            h_prev=opt(self.h_prev[index]),
-            h_next=opt(self.h_next[index]),
-            v_prev=opt(self.v_prev[index]),
-            v_next=opt(self.v_next[index]),
-        )
-
     def root_pdr(self) -> Pdr:
         """Projection of the empty head: every transaction, every cell in
         the tail (the tail at the root is the whole item range)."""
@@ -140,48 +97,22 @@ class HdrStore:
 
 
 def build_hdr(db: TransactionDatabase) -> HdrStore:
-    """Lay out one cell per (transaction, item) occurrence and wire all four
-    link families in a single pass."""
-    n_txns = len(db.transactions)
+    """Lay out the cells, the bitmaps and the per-item transaction lists in
+    a single pass over the database."""
     cell_item: list[int] = []
-    cell_txn: list[int] = []
-    h_prev: list[int] = []
-    h_next: list[int] = []
-    v_prev: list[int] = []
-    v_next: list[int] = []
-    txn_first = [0] * (n_txns + 1)
+    txn_first = [0] * (len(db.transactions) + 1)
     bitmaps: list[int] = []
-    item_first = [-1] * db.item_count
-    last_of_item = [-1] * db.item_count
-    ci = 0
+    item_txns: list[list[int]] = [[] for _ in range(db.item_count)]
     for t, txn in enumerate(db.transactions):
-        txn_first[t] = ci
+        txn_first[t] = len(cell_item)
+        cell_item.extend(txn)
         bits = 0
-        prev = -1
         for x in txn:
-            cell_item.append(x)
-            cell_txn.append(t)
-            h_prev.append(prev)
-            h_next.append(-1)
-            if prev != -1:
-                h_next[prev] = ci
-            tail_cell = last_of_item[x]
-            v_prev.append(tail_cell)
-            v_next.append(-1)
-            if tail_cell != -1:
-                v_next[tail_cell] = ci
-            else:
-                item_first[x] = ci
-            last_of_item[x] = ci
+            item_txns[x].append(t)
             bits |= 1 << x
-            prev = ci
-            ci += 1
         bitmaps.append(bits)
-    txn_first[n_txns] = ci
-    return HdrStore(
-        db, cell_item, cell_txn, h_prev, h_next, v_prev, v_next,
-        txn_first, bitmaps, item_first,
-    )
+    txn_first[-1] = len(cell_item)
+    return HdrStore(db, cell_item, txn_first, bitmaps, item_txns)
 
 
 def select_mode(pdr_atl: float, tail_size: int) -> CountMode:
@@ -251,20 +182,15 @@ def project_vertical(
         for z in tail_after:
             tail_mask |= 1 << z
     bitmaps = store.txn_bitmap
-    txns: list[int] = []
     restricted = 0
     if len(parent.txns) == store.txn_count:
-        # Root projection: the item's vertical chain lists exactly the
+        # Root projection: the item's transaction list is exactly the
         # transactions we want, in ascending order.
-        ci = store.item_first_cell[y]
-        cell_txn = store.cell_txn
-        v_next = store.v_next
-        while ci != -1:
-            t = cell_txn[ci]
-            txns.append(t)
+        txns = list(store.item_txns[y])
+        for t in txns:
             restricted += (bitmaps[t] & tail_mask).bit_count()
-            ci = v_next[ci]
     else:
+        txns = []
         ybit = 1 << y
         for t in parent.txns:
             bits = bitmaps[t]
@@ -276,9 +202,10 @@ def project_vertical(
 
 def verify_counts(store: HdrStore, pdr: Pdr, tail) -> bool:
     """Debug oracle: recompute tail supports four independent ways (raw
-    transaction rescan, h-chain walks, v-chain walks, bitmap probes) and
-    check the link structure along the way. True only if everything agrees.
-    Slow by design; never used on the mining hot path."""
+    transaction rescan, cell slices, per-item transaction lists, bitmap
+    probes) and check that every item's transaction list is strictly
+    ascending. True only if everything agrees. Slow by design; never used on
+    the mining hot path."""
     try:
         return _verify_counts(store, pdr, tail)
     except IndexError:
@@ -286,60 +213,30 @@ def verify_counts(store: HdrStore, pdr: Pdr, tail) -> bool:
 
 
 def _verify_counts(store: HdrStore, pdr: Pdr, tail) -> bool:
-    db = store.db
     tail_set = set(tail)
     in_pdr = set(pdr.txns)
-    cell_count = store.cell_count
 
     raw = dict.fromkeys(tail, 0)
     for t in pdr.txns:
-        for x in db.transactions[t]:
+        for x in store.db.transactions[t]:
             if x in tail_set:
                 raw[x] += 1
 
-    horizontal = dict.fromkeys(tail, 0)
+    sliced = dict.fromkeys(tail, 0)
+    first = store.txn_first_cell
     for t in pdr.txns:
-        ci = store.txn_first_cell[t]
-        prev = -1
-        steps = 0
-        while ci != -1:
-            steps += 1
-            if steps > cell_count:
-                return False
-            if store.cell_txn[ci] != t or store.h_prev[ci] != prev:
-                return False
-            x = store.cell_item[ci]
+        for x in store.cell_item[first[t]:first[t + 1]]:
             if x in tail_set:
-                horizontal[x] += 1
-            prev = ci
-            ci = store.h_next[ci]
-        if steps != len(db.transactions[t]):
-            return False
+                sliced[x] += 1
 
-    vertical = {}
+    listed = {}
     for y in tail:
-        ci = store.item_first_cell[y]
-        prev = -1
-        last_txn = -1
-        steps = 0
-        hits = 0
-        while ci != -1:
-            steps += 1
-            if steps > cell_count:
-                return False
-            if store.cell_item[ci] != y or store.v_prev[ci] != prev:
-                return False
-            t = store.cell_txn[ci]
-            if t <= last_txn:
-                return False
-            if t in in_pdr:
-                hits += 1
-            prev = ci
-            last_txn = t
-            ci = store.v_next[ci]
-        vertical[y] = hits
+        txns = store.item_txns[y]
+        if any(a >= b for a, b in zip(txns, txns[1:])):
+            return False
+        listed[y] = sum(1 for t in txns if t in in_pdr)
 
     bitmap = {
         y: sum(1 for t in pdr.txns if store.txn_bitmap[t] >> y & 1) for y in tail
     }
-    return raw == horizontal == vertical == bitmap
+    return raw == sliced == listed == bitmap

@@ -1,7 +1,7 @@
 """Depth-first maximal frequent itemset search.
 
-Itemsets travel through the engine as integer bitmasks over item ranks; the
-public helpers accept and return rank sets. Each search node carries a head
+Itemsets travel through the engine as integer bitmasks over item ranks;
+iterating a mined MfiStore yields rank sets. Each search node carries a head
 (the itemset mined so far), an ordered tail of candidate extensions, and its
 Pdr projection. Three prunes cut the tree: parent-equivalence (tail items
 whose support matches the head's move straight into the head), a look-ahead
@@ -18,16 +18,9 @@ not the interpreter's call limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator
 
 from .hdr import CostCounters, CountMode, HdrStore, Pdr, count_supports, project_vertical
-
-
-def _mask_of(items: Iterable[int]) -> int:
-    mask = 0
-    for x in items:
-        mask |= 1 << x
-    return mask
 
 
 def _items_of(mask: int) -> frozenset[int]:
@@ -59,10 +52,6 @@ class MfiStore:
         for mask, support in zip(self._masks, self._supports):
             yield _items_of(mask), support
 
-    @property
-    def itemsets(self) -> list[tuple[frozenset[int], int]]:
-        return list(self)
-
     def as_dict(self) -> dict[frozenset[int], int]:
         return dict(self)
 
@@ -87,9 +76,6 @@ class MfiStore:
             if mask & ~masks[i] == 0:
                 return True
         return False
-
-    def covers(self, items: Iterable[int]) -> bool:
-        return self.covers_mask(_mask_of(items))
 
     def add(self, mask: int, support: int) -> bool:
         """Insert unless a stored superset exists. The search order guarantees
@@ -125,15 +111,6 @@ class LmfiView:
         self.indices = indices
         self.watermark = watermark
 
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    @property
-    def itemsets(self) -> list[tuple[frozenset[int], int]]:
-        masks = self.store._masks
-        supports = self.store._supports
-        return [(_items_of(masks[i]), supports[i]) for i in self.indices]
-
     def covers_mask(self, mask: int) -> bool:
         masks = self.store._masks
         for i in self.indices:
@@ -155,14 +132,12 @@ class LmfiView:
 @dataclass(slots=True)
 class NodeFrame:
     """One search node. ``head`` is a rank bitmask; ``tail`` is the ordered
-    candidate list at entry; ``is_hut`` marks the first child of its parent
-    (the branch that can prove the parent's head∪tail frequent)."""
+    candidate list at entry."""
 
     head: int
     head_support: int
     tail: list[int]
     pdr: Pdr
-    is_hut: bool
     view: LmfiView | None = None
     children: list[tuple[int, int]] | None = None
     suffix_masks: list[int] | None = None
@@ -170,10 +145,6 @@ class NodeFrame:
     all_frequent: bool = False
     first_child_proved: bool = False
     entered: bool = False
-
-    @property
-    def head_items(self) -> frozenset[int]:
-        return _items_of(self.head)
 
 
 @dataclass
@@ -200,52 +171,6 @@ class SearchStats:
     subsumption check before any counting."""
 
     nodes_explored: int = 0
-
-
-def pep_trim(
-    head: Iterable[int],
-    head_support: int,
-    tail: Sequence[int],
-    tail_supports: Mapping[int, int],
-) -> tuple[frozenset[int], list[int]]:
-    """Move every tail item whose extension support equals the head's own
-    support into the head (such items appear in every projected transaction,
-    so no proper subtree on them can reach a different maximal set)."""
-    moved = {y for y in tail if tail_supports[y] == head_support}
-    return frozenset(head) | moved, [y for y in tail if y not in moved]
-
-
-def reorder_tail(tail: Sequence[int], tail_supports: Mapping[int, int]) -> list[int]:
-    """Ascending extension support, ties broken by ascending rank."""
-    return sorted(tail, key=lambda y: (tail_supports[y], y))
-
-
-def hut_prune_check(head: Iterable[int], tail: Iterable[int], mfi) -> bool:
-    """True when head∪tail is a subset of a stored maximal set, i.e. nothing
-    below this node can be new; the node is skipped entirely. Accepts the
-    full store or a node-local view."""
-    return mfi.covers_mask(_mask_of(head) | _mask_of(tail))
-
-
-def fhut_signal(node: NodeFrame, all_tail_frequent: bool) -> bool:
-    """Look-ahead signal for a fully explored first child: when it proved the
-    whole head∪tail frequent, the caller may abandon the node's remaining
-    siblings (every itemset they could reach is a subset of an itemset the
-    store already covers)."""
-    return node.is_hut and all_tail_frequent
-
-
-def maximality_insert(mfi: MfiStore, itemset: Iterable[int], support: int) -> bool:
-    """Insert unless subsumed by a stored maximal set; True when stored."""
-    return mfi.add(_mask_of(itemset), support)
-
-
-def lmfi_project(mfi: MfiStore, y: int) -> LmfiView:
-    """View of exactly the stored maximal sets containing rank y."""
-    masks = mfi._masks
-    bit = 1 << y
-    indices = [i for i, m in enumerate(masks) if m & bit]
-    return LmfiView(mfi, indices, len(masks))
 
 
 def mine_mfi(
@@ -275,7 +200,6 @@ def mine_mfi(
         head_support=store.txn_count,
         tail=list(range(store.item_count)),
         pdr=store.root_pdr(),
-        is_hut=True,
         view=root_view,
     )
     stack = [root]
@@ -366,7 +290,6 @@ def mine_mfi(
                 head_support=x_support,
                 tail=tail_after,
                 pdr=child_pdr,
-                is_hut=i == 0,
                 view=child_view,
             )
         )

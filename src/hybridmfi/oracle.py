@@ -116,7 +116,8 @@ def mine_bitmap_baseline(db: TransactionDatabase, minsup: int) -> MfiStore:
     """Maximal miner over vertical bitsets: one integer bitmask of transaction
     indices per item, child supports by mask intersection. Same pruning ideas
     as the hybrid engine (equal-support absorption, leftmost look-ahead,
-    subsumption, ascending-support order), none of its store machinery."""
+    subsumption, ascending-support order), none of its store machinery.
+    Recursion is an explicit frame stack, as in ``mine_mfi``."""
     if minsup < 1:
         raise ValueError(f"minsup must be a positive integer, got {minsup}")
     n = len(db.transactions)
@@ -129,8 +130,12 @@ def mine_bitmap_baseline(db: TransactionDatabase, minsup: int) -> MfiStore:
         for x in txn:
             item_tids[x] |= bit
 
-    def explore(head: int, head_tids: int, head_support: int, tail: list[int]) -> bool:
-        # Returns True when head ∪ tail is known frequent (and covered).
+    stack: list[list] = []  # [head, extensions, next child, all_frequent, first_proved]
+
+    def enter(head: int, head_tids: int, head_support: int, tail: list[int]) -> bool | None:
+        # True/False when the node finishes at once, telling whether
+        # head ∪ tail is known frequent (and covered); None once it has
+        # pushed a frame for its extensions.
         hut = head
         for x in tail:
             hut |= 1 << x
@@ -156,15 +161,21 @@ def mine_bitmap_baseline(db: TransactionDatabase, minsup: int) -> MfiStore:
                 mfi.add(head, head_support)
             return all_frequent
         extensions.sort(key=lambda e: (e[0], e[1]))
-        first_proved = False
-        for i, (s, x, tids) in enumerate(extensions):
-            rest = [e[1] for e in extensions[i + 1:]]
-            proved = explore(head | (1 << x), tids, s, rest)
-            if i == 0:
-                first_proved = proved
-            if first_proved and all_frequent:
-                break
-        return all_frequent and first_proved
+        stack.append([head, extensions, 0, all_frequent, False])
+        return None
 
-    explore(0, (1 << n) - 1, n, list(range(db.item_count)))
+    proved = enter(0, (1 << n) - 1, n, list(range(db.item_count)))
+    while stack:
+        frame = stack[-1]
+        head, extensions, i, all_frequent, first_proved = frame
+        if proved is not None:  # extension i - 1 just finished
+            if i == 1:
+                first_proved = frame[4] = proved
+            if (first_proved and all_frequent) or i == len(extensions):
+                stack.pop()
+                proved = all_frequent and first_proved
+                continue
+        s, x, tids = extensions[i]
+        frame[2] = i + 1
+        proved = enter(head | (1 << x), tids, s, [e[1] for e in extensions[i + 1:]])
     return mfi

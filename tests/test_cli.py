@@ -167,6 +167,22 @@ def test_bench_disagreement_aborts_without_csv(tiny_file, tmp_path, monkeypatch,
     assert not out.exists()
 
 
+def test_bench_same_count_different_sets_aborts(tiny_file, tmp_path, monkeypatch, capsys):
+    # Two maximal sets, as the real miners find, but the wrong two.
+    def wrong_sets(db, minsup):
+        store = MfiStore(db.item_count)
+        store.add(0b001, 2)
+        store.add(0b010, 2)
+        return store
+
+    monkeypatch.setattr(cli, "mine_bitmap_baseline", wrong_sets)
+    out = tmp_path / "bench.csv"
+    code = cli.main(["bench", str(tiny_file), "--minsup", "2", "--csv", str(out)])
+    assert code == 3
+    assert "mismatch" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stats_tiny_db(tiny_file, capsys):
     assert cli.main(["stats", str(tiny_file)]) == 0
     out = capsys.readouterr().out

@@ -17,63 +17,39 @@ from hybridmfi import (
 )
 
 
-def vchain_txns(store, rank):
-    txns = []
-    ci = store.item_first_cell[rank]
-    while ci != -1:
-        txns.append(store.cell_txn[ci])
-        ci = store.v_next[ci]
-    return txns
-
-
-def hchain_items(store, txn):
-    items = []
-    ci = store.txn_first_cell[txn]
-    while ci != -1:
-        items.append(store.cell_item[ci])
-        ci = store.h_next[ci]
-    return items
-
-
 def clone_store(store):
     return HdrStore(
         store.db,
         list(store.cell_item),
-        list(store.cell_txn),
-        list(store.h_prev),
-        list(store.h_next),
-        list(store.v_prev),
-        list(store.v_next),
         list(store.txn_first_cell),
         list(store.txn_bitmap),
-        list(store.item_first_cell),
+        [list(txns) for txns in store.item_txns],
     )
 
 
 def test_build_vertical_chain(tiny_ms2):
+    # Each rank's transaction list, ascending.
     _, _, store = tiny_ms2
-    assert vchain_txns(store, 0) == [0, 2, 4]  # label 1
-    assert vchain_txns(store, 1) == [0, 3]     # label 2
-    assert vchain_txns(store, 2) == [1, 2, 3, 4]  # label 3
+    assert store.item_txns[0] == [0, 2, 4]  # label 1
+    assert store.item_txns[1] == [0, 3]     # label 2
+    assert store.item_txns[2] == [1, 2, 3, 4]  # label 3
 
 
 def test_build_single_transaction_hchain():
     db, _ = prune_and_remap(parse_fimi("1 2 3\n"), 1)
     store = build_hdr(db)
-    assert hchain_items(store, 0) == [0, 1, 2]
-    first = store.cell(store.txn_first_cell[0])
-    assert first.h_prev is None and first.v_prev is None and first.v_next is None
-    last = store.cell(2)
-    assert last.h_next is None
+    assert store.txn_first_cell == [0, 3]
+    assert store.cell_item == [0, 1, 2]
+    assert store.item_txns == [[0], [0], [0]]
+    assert store.txn_bitmap == [0b111]
 
 
 def test_build_repeated_transaction_vertical_links():
     db, _ = prune_and_remap(parse_fimi("1\n1\n"), 1)
     store = build_hdr(db)
     assert store.cell_count == 2
-    assert vchain_txns(store, 0) == [0, 1]
-    assert store.cell(0).v_next == 1
-    assert store.cell(1).v_prev == 0
+    assert store.item_txns == [[0, 1]]
+    assert store.txn_first_cell == [0, 1, 2]
 
 
 def test_build_bitmaps_match_transactions(tiny_ms1):
@@ -88,7 +64,8 @@ def test_build_cells_grouped_by_transaction(tiny_ms1):
     for t, txn in enumerate(db.transactions):
         lo, hi = store.txn_first_cell[t], store.txn_first_cell[t + 1]
         assert store.cell_item[lo:hi] == txn
-        assert store.cell_txn[lo:hi] == [t] * len(txn)
+        for x in txn:
+            assert t in store.item_txns[x]
 
 
 def test_build_empty_database():
@@ -261,21 +238,36 @@ def test_verify_counts_on_projected_node(tiny_ms2):
 def test_verify_counts_catches_corrupted_vlink(tiny_ms2):
     _, _, store = tiny_ms2
     broken = clone_store(store)
-    first = broken.item_first_cell[0]
-    broken.v_next[first] = -1  # truncate item 0's vertical chain
+    broken.item_txns[0].pop()  # truncate item 0's transaction list
     assert verify_counts(store, store.root_pdr(), [0, 1, 2])
+    assert not verify_counts(broken, broken.root_pdr(), [0, 1, 2])
+
+
+def test_verify_counts_catches_unsorted_item_txns(tiny_ms2):
+    _, _, store = tiny_ms2
+    broken = clone_store(store)
+    broken.item_txns[2].reverse()  # same members, wrong order
     assert not verify_counts(broken, broken.root_pdr(), [0, 1, 2])
 
 
 def test_verify_counts_catches_corrupted_hlink(tiny_ms2):
     _, _, store = tiny_ms2
     broken = clone_store(store)
-    broken.h_next[broken.txn_first_cell[0]] = -1  # drop the rest of txn 0
-    assert not verify_counts(broken, broken.root_pdr(), [0, 1, 2])
+    broken.txn_first_cell[1] -= 1  # txn 0's last cell slides into txn 1
+    pdr = project_vertical(broken, broken.root_pdr(), 0, [1, 2])
+    assert verify_counts(store, pdr, [1, 2])
+    assert not verify_counts(broken, pdr, [1, 2])
 
 
 def test_verify_counts_catches_wrong_item(tiny_ms2):
     _, _, store = tiny_ms2
     broken = clone_store(store)
     broken.cell_item[0] = 2
+    assert not verify_counts(broken, broken.root_pdr(), [0, 1, 2])
+
+
+def test_verify_counts_catches_wrong_bitmap(tiny_ms2):
+    _, _, store = tiny_ms2
+    broken = clone_store(store)
+    broken.txn_bitmap[1] |= 1 << 0  # txn 1 claims label 1 it does not hold
     assert not verify_counts(broken, broken.root_pdr(), [0, 1, 2])

@@ -5,25 +5,17 @@ import pytest
 from hybridmfi import (
     CostCounters,
     CountMode,
+    LmfiView,
     MfiStore,
     MinerConfig,
-    NodeFrame,
-    Pdr,
     SearchStats,
     build_hdr,
     enumerate_fi_bruteforce,
-    fhut_signal,
     gen_sparse,
-    hut_prune_check,
-    lmfi_project,
     maximal_filter,
-    maximality_insert,
-    mine_bitmap_baseline,
     mine_mfi,
     parse_fimi,
-    pep_trim,
     prune_and_remap,
-    reorder_tail,
 )
 
 from conftest import label_mfi
@@ -34,6 +26,17 @@ def mine_labels(raw_text, minsup, **config_kwargs):
     store = build_hdr(db)
     result = mine_mfi(store, MinerConfig(minsup=minsup, **config_kwargs))
     return label_mfi(result, item_map)
+
+
+def mine_traced(raw_text, minsup, **config_kwargs):
+    """(maximal sets as label tuples in insertion order, supports, nodes)."""
+    db, item_map = prune_and_remap(parse_fimi(raw_text), minsup)
+    stats = SearchStats()
+    result = mine_mfi(build_hdr(db), MinerConfig(minsup=minsup, **config_kwargs),
+                      stats=stats)
+    order = [tuple(sorted(item_map.labels_of(ranks))) for ranks, _ in result]
+    supports = [support for _, support in result]
+    return order, supports, stats.nodes_explored
 
 
 def test_mine_tiny_minsup2(tiny_ms2):
@@ -79,21 +82,30 @@ def test_config_rejects_bad_minsup():
         MinerConfig(minsup=0)
 
 
-def test_pep_trim_absorbs_equal_support():
-    head, tail = pep_trim(frozenset({0}), 2, [1], {1: 2})
-    assert head == frozenset({0, 1})
-    assert tail == []
+def test_pep_absorbs_equal_support_items():
+    # Both items sit in every row, so the root absorbs them and never
+    # branches; without PEP the same set is reached through child nodes.
+    order, supports, nodes = mine_traced("1 2\n1 2\n", 2)
+    assert (order, supports, nodes) == ([(1, 2)], [2], 1)
+    order_off, supports_off, nodes_off = mine_traced("1 2\n1 2\n", 2, enable_pep=False)
+    assert (order_off, supports_off) == (order, supports)
+    assert nodes_off > nodes
 
 
-def test_pep_trim_keeps_lower_support():
-    head, tail = pep_trim(frozenset({0}), 3, [1, 2], {1: 1, 2: 2})
-    assert head == frozenset({0})
-    assert tail == [1, 2]
+def test_pep_keeps_lower_support_items():
+    # Label 1 is in every row and is absorbed; 2 and 3 are not, so they
+    # must stay branch items and keep their own lower supports.
+    got = mine_labels("1 2 3\n1 2\n1 3\n1\n", 1)
+    assert got == {frozenset({1, 2, 3}): 1}
+    got = mine_labels("1 2\n1 3\n1\n", 1)
+    assert got == {frozenset({1, 2}): 1, frozenset({1, 3}): 1}
 
 
-def test_pep_trim_empty_tail():
-    head, tail = pep_trim(frozenset({0, 2}), 4, [], {})
-    assert head == frozenset({0, 2}) and tail == []
+def test_pep_absorbs_whole_tail():
+    # Below label 1 every remaining item has the head's support: the tail
+    # empties and the absorbed head is emitted with the head's support.
+    order, supports, _ = mine_traced("1 2 3\n1 2 3\n2\n", 2)
+    assert (order, supports) == ([(1, 2, 3)], [2])
 
 
 def test_pep_containment_property():
@@ -118,61 +130,78 @@ def test_pep_containment_property():
                 assert all(store.txn_bitmap[t] >> x & 1 for t in pdr.txns)
 
 
-def test_reorder_tail_ascending_support():
-    assert reorder_tail([0, 1, 2], {0: 3, 1: 2, 2: 4}) == [1, 0, 2]
+def test_reorder_explores_ascending_support_first():
+    # Three disjoint items with supports 3, 2, 4: each is its own maximal
+    # set, inserted in the order the root explores its children.
+    text = "1\n1\n1\n2\n2\n3\n3\n3\n3\n"
+    assert mine_traced(text, 1)[0] == [(2,), (1,), (3,)]
+    assert mine_traced(text, 1, enable_reorder=False)[0] == [(1,), (2,), (3,)]
 
 
-def test_reorder_tail_ties_by_rank():
-    assert reorder_tail([2, 0, 1], {0: 1, 1: 1, 2: 1}) == [0, 1, 2]
+def test_reorder_breaks_support_ties_by_rank():
+    # Below label 1 the inherited tail is [3, 2] (root supports 2 < 4), but
+    # both have support 1 there, so the tie goes to the lower rank, 2.
+    order, supports, _ = mine_traced("1 2\n1 3\n2 3\n2\n2\n", 1)
+    assert order == [(1, 2), (1, 3), (2, 3)]
+    assert supports == [1, 1, 1]
 
 
-def test_reorder_tail_empty():
-    assert reorder_tail([], {}) == []
-
-
-def test_hut_prune_check():
+def test_covers_mask_is_superset_query():
     mfi = MfiStore(5)
-    assert not hut_prune_check({0}, {2}, mfi)  # empty store never covers
-    maximality_insert(mfi, {0, 2}, 2)
-    assert hut_prune_check({0}, {2}, mfi)
-    assert hut_prune_check({2}, [], mfi)
-    assert not hut_prune_check({1}, [], mfi)
-    assert not hut_prune_check({0}, {1, 2}, mfi)
+    view = LmfiView(mfi, [], 0)
+    for checker in (mfi, view):
+        assert not checker.covers_mask(0b101)  # empty store never covers
+    mfi.add(0b101, 2)
+    for checker in (mfi, view):
+        assert checker.covers_mask(0b101)      # equal
+        assert checker.covers_mask(0b100)      # proper subset
+        assert not checker.covers_mask(0b010)  # disjoint
+        assert not checker.covers_mask(0b111)  # proper superset
 
 
-def test_fhut_signal():
-    frame = NodeFrame(head=1, head_support=2, tail=[], pdr=Pdr([], 0), is_hut=True)
-    assert fhut_signal(frame, True)
-    assert not fhut_signal(frame, False)
-    frame.is_hut = False
-    assert not fhut_signal(frame, True)
-
-
-def test_maximality_insert_keeps_antichain():
+def test_store_add_keeps_antichain():
     mfi = MfiStore(5)
-    assert maximality_insert(mfi, {0, 2}, 2)
-    assert not maximality_insert(mfi, {0}, 3)      # subsumed
-    assert not maximality_insert(mfi, {0, 2}, 2)   # duplicate
-    assert maximality_insert(mfi, {1}, 2)
+    assert mfi.add(0b101, 2)
+    assert not mfi.add(0b001, 3)  # subsumed
+    assert not mfi.add(0b101, 2)  # duplicate
+    assert mfi.add(0b010, 2)
     assert mfi.as_dict() == {frozenset({0, 2}): 2, frozenset({1}): 2}
 
 
-def test_lmfi_project_filters_by_item():
+def test_lmfi_view_project_filters_by_item():
     mfi = MfiStore(5)
-    maximality_insert(mfi, {0, 2}, 2)
-    maximality_insert(mfi, {1}, 2)
-    view = lmfi_project(mfi, 2)
-    assert view.itemsets == [(frozenset({0, 2}), 2)]
-    assert lmfi_project(mfi, 3).itemsets == []
+    mfi.add(0b00101, 2)
+    mfi.add(0b00010, 2)
+    root = LmfiView(mfi, [], 0)
+    assert root.project(2).indices == [0]
+    assert root.project(3).indices == []
+    narrowed = root.project(0).project(2)
+    assert narrowed.indices == [0]
+    assert narrowed.covers_mask(0b101) and not narrowed.covers_mask(0b010)
 
 
 def test_lmfi_view_sees_later_inserts():
     mfi = MfiStore(5)
-    view = lmfi_project(mfi, 1)
-    maximality_insert(mfi, {1, 3}, 2)
+    view = LmfiView(mfi, [], 0).project(1)
+    mfi.add((1 << 1) | (1 << 3), 2)
     assert view.covers_mask((1 << 1) | (1 << 3))
     narrowed = view.project(3)
     assert narrowed.covers_mask(1 << 3)
+
+
+@pytest.mark.parametrize("toggle", ["enable_pep", "enable_fhut", "enable_hutmfi"],
+                         ids=["pep", "fhut", "hutmfi"])
+def test_prune_is_live_in_engine(toggle):
+    # Turning one prune off leaves the output unchanged and strictly
+    # raises the node count.
+    for seed in range(5):
+        db, _ = prune_and_remap(gen_sparse(50, 15, 5, seed), 2)
+        store = build_hdr(db)
+        on, off = SearchStats(), SearchStats()
+        with_prune = mine_mfi(store, MinerConfig(minsup=2), stats=on)
+        without = mine_mfi(store, MinerConfig(minsup=2, **{toggle: False}), stats=off)
+        assert without.as_dict() == with_prune.as_dict(), f"seed {seed}"
+        assert off.nodes_explored > on.nodes_explored, f"seed {seed}"
 
 
 def test_mine_with_and_without_lmfi_views():

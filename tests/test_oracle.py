@@ -131,3 +131,15 @@ def test_three_implementations_agree():
         baseline = mine_bitmap_baseline(db, minsup).as_dict()
         brute = maximal_filter(enumerate_fi_bruteforce(db, minsup)).as_dict()
         assert hybrid == baseline == brute, f"seed {seed}"
+
+
+def test_baseline_deep_search_survives_without_recursion():
+    # Every row but one drops a single item, so the leftmost path descends
+    # through all 1100 items before the full row closes it.
+    n = 1100
+    labels = range(1, n + 1)
+    rows = [" ".join(str(x) for x in labels if x != j) for j in labels]
+    rows.append(" ".join(str(x) for x in labels))
+    db, item_map = prune_and_remap(parse_fimi("\n".join(rows) + "\n"), 1)
+    result = mine_bitmap_baseline(db, 1)
+    assert label_mfi(result, item_map) == {frozenset(labels): 1}
