@@ -219,7 +219,6 @@ def _config_flags(args) -> dict:
         "enable_fhut": not args.no_fhut,
         "enable_hutmfi": not args.no_hutmfi,
         "enable_reorder": not args.no_reorder,
-        "use_lmfi": not args.no_lmfi,
     }
 
 
@@ -313,8 +312,6 @@ def _add_toggle_flags(parser: argparse.ArgumentParser) -> None:
                         help="disable subsumption pruning against known maximal sets")
     parser.add_argument("--no-reorder", action="store_true",
                         help="keep tails in inherited order instead of ascending support")
-    parser.add_argument("--no-lmfi", action="store_true",
-                        help="check subsumption against the full store instead of node-local views")
 
 
 def build_parser() -> argparse.ArgumentParser:

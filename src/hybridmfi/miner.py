@@ -7,12 +7,14 @@ Pdr projection. Three prunes cut the tree: parent-equivalence (tail items
 whose support matches the head's move straight into the head), a look-ahead
 that abandons siblings once the leftmost subtree proves the node's entire
 head∪tail frequent, and subsumption (a node whose head∪tail already sits
-inside a known maximal set is dismissed before any counting). Tails are
-re-sorted by ascending support at every node so the most constrained
-branches run first.
+inside a known maximal set is dismissed before any counting). Subsumption
+reads node-local LMFI views of the store, which hold only the maximal sets
+that contain the node's branch items. Tails are re-sorted by ascending
+support at every node so the most constrained branches run first.
 
-Recursion is an explicit frame stack, so tail depth is bounded by memory and
-not the interpreter's call limit.
+Recursion is an explicit stack with one frame per branching node, so tail
+depth is bounded by memory and not the interpreter's call limit. The mined
+store is checked to be an antichain once, before it is returned.
 """
 
 from __future__ import annotations
@@ -80,12 +82,10 @@ class MfiStore:
     def add(self, mask: int, support: int) -> bool:
         """Insert unless a stored superset exists. The search order guarantees
         no stored set is ever a proper subset of a later insert, which keeps
-        the store an antichain without a removal pass."""
+        the store an antichain without a removal pass; ``check_antichain``
+        confirms it once a mine is done."""
         if self.covers_mask(mask):
             return False
-        if __debug__:
-            for stored in self._masks:
-                assert stored & ~mask != 0, "stored itemset subsumed by a later insert"
         pos = len(self._masks)
         self._masks.append(mask)
         self._supports.append(support)
@@ -95,6 +95,27 @@ class MfiStore:
             self._index[low.bit_length() - 1].append(pos)
             m ^= low
         return True
+
+    def check_antichain(self) -> None:
+        """Raise AssertionError if a stored itemset lies inside another. Each
+        set's superset candidates come from its least-populated item's
+        index list. Raised explicitly, so the check also runs under -O."""
+        masks = self._masks
+        for pos, mask in enumerate(masks):
+            candidates: range | list[int] = range(len(masks))
+            m = mask
+            while m:
+                low = m & -m
+                bucket = self._index[low.bit_length() - 1]
+                if len(bucket) < len(candidates):
+                    candidates = bucket
+                m ^= low
+            for i in candidates:
+                if i != pos and mask & ~masks[i] == 0:
+                    raise AssertionError(
+                        f"stored itemset {sorted(_items_of(mask))} lies inside "
+                        f"{sorted(_items_of(masks[i]))}"
+                    )
 
 
 class LmfiView:
@@ -129,28 +150,10 @@ class LmfiView:
         return LmfiView(self.store, kept, len(masks))
 
 
-@dataclass(slots=True)
-class NodeFrame:
-    """One search node. ``head`` is a rank bitmask; ``tail`` is the ordered
-    candidate list at entry."""
-
-    head: int
-    head_support: int
-    tail: list[int]
-    pdr: Pdr
-    view: LmfiView | None = None
-    children: list[tuple[int, int]] | None = None
-    suffix_masks: list[int] | None = None
-    next_child: int = 0
-    all_frequent: bool = False
-    first_child_proved: bool = False
-    entered: bool = False
-
-
 @dataclass
 class MinerConfig:
-    """Search settings. The four prune/reorder toggles and the LMFI-view
-    switch never change the mined result, only the work done."""
+    """Search settings. The four prune/reorder toggles never change the mined
+    result, only the work done."""
 
     minsup: int
     mode: CountMode = CountMode.AUTO
@@ -158,7 +161,6 @@ class MinerConfig:
     enable_fhut: bool = True
     enable_hutmfi: bool = True
     enable_reorder: bool = True
-    use_lmfi: bool = True
 
     def __post_init__(self):
         if self.minsup < 1:
@@ -194,106 +196,72 @@ def mine_mfi(
     use_hutmfi = config.enable_hutmfi
     use_reorder = config.enable_reorder
 
-    root_view = LmfiView(mfi, [], 0) if config.use_lmfi else None
-    root = NodeFrame(
-        head=0,
-        head_support=store.txn_count,
-        tail=list(range(store.item_count)),
-        pdr=store.root_pdr(),
-        view=root_view,
-    )
-    stack = [root]
-    nodes = 0
-    # Proved-HUT result of the child that just finished, consumed by the
-    # frame now on top of the stack.
-    pending: bool | None = None
+    # One frame per branching node:
+    # [head, children, suffix masks, pdr, view, next child, all_frequent, first_proved]
+    stack: list[list] = []
 
-    while stack:
-        frame = stack[-1]
-        if pending is not None:
-            proved, pending = pending, None
-            if frame.next_child == 1:
-                frame.first_child_proved = proved
-            if use_fhut and frame.all_frequent and frame.first_child_proved:
-                # The leftmost subtree proved this node's whole head∪tail
-                # frequent and covered; the other children cannot reach a
-                # new maximal set.
-                stack.pop()
-                pending = True
-                continue
-        elif not frame.entered:
-            frame.entered = True
-            nodes += 1
-            if not frame.tail:
-                if frame.head:
-                    mfi.add(frame.head, frame.head_support)
-                stack.pop()
-                pending = True
-                continue
-            counts = count_supports(store, frame.pdr, frame.tail, mode, counters)
-            head = frame.head
-            head_support = frame.head_support
-            children: list[tuple[int, int]] = []
-            n_frequent = 0
-            for x in frame.tail:
+    def enter(head: int, head_support: int, tail: list[int], pdr: Pdr,
+              view: LmfiView) -> bool | None:
+        # True/False when the node finishes at once, telling whether
+        # head∪tail is known frequent (and covered); None once it has
+        # pushed a frame for its children.
+        children: list[tuple[int, int]] = []
+        all_frequent = True
+        if tail:
+            counts = count_supports(store, pdr, tail, mode, counters)
+            for x in tail:
                 s = counts[x]
                 if s < minsup:
-                    continue
-                n_frequent += 1
-                if use_pep and s == head_support:
+                    all_frequent = False
+                elif use_pep and s == head_support:
                     head |= 1 << x
                 else:
                     children.append((x, s))
-            frame.head = head
-            frame.all_frequent = n_frequent == len(frame.tail)
-            if not children:
-                if head:
-                    mfi.add(head, head_support)
-                stack.pop()
-                # head∪tail is frequent exactly when nothing was dropped
-                # (everything left moved into the head).
-                pending = frame.all_frequent
-                continue
-            if use_reorder:
-                children.sort(key=lambda entry: (entry[1], entry[0]))
-            suffix = [0] * len(children)
-            acc = 0
-            for j in range(len(children) - 1, -1, -1):
-                suffix[j] = acc
-                acc |= 1 << children[j][0]
-            frame.children = children
-            frame.suffix_masks = suffix
+        if not children:
+            if head:
+                mfi.add(head, head_support)
+            # head∪tail is frequent exactly when nothing was dropped
+            # (everything left moved into the head).
+            return all_frequent
+        if use_reorder:
+            children.sort(key=lambda entry: (entry[1], entry[0]))
+        suffix = [0] * len(children)
+        acc = 0
+        for j in range(len(children) - 1, -1, -1):
+            suffix[j] = acc
+            acc |= 1 << children[j][0]
+        stack.append([head, children, suffix, pdr, view, 0, all_frequent, False])
+        return None
 
-        i = frame.next_child
-        if i >= len(frame.children):
-            stack.pop()
-            pending = frame.all_frequent and frame.first_child_proved
-            continue
-        frame.next_child = i + 1
-        x, x_support = frame.children[i]
-        child_head = frame.head | (1 << x)
-        suffix_mask = frame.suffix_masks[i]
-        child_view = frame.view.project(x) if frame.view is not None else None
-        if use_hutmfi:
-            checker = child_view if child_view is not None else mfi
-            if checker.covers_mask(child_head | suffix_mask):
-                nodes += 1  # generated, dismissed before any counting
-                pending = True
+    nodes = 1  # the root; each generated child adds one below
+    proved = enter(0, store.txn_count, list(range(store.item_count)),
+                   store.root_pdr(), LmfiView(mfi, [], 0))
+    while stack:
+        frame = stack[-1]
+        head, children, suffix, pdr, view, i, all_frequent, first_proved = frame
+        if proved is not None:  # child i - 1 just finished
+            if i == 1:
+                first_proved = frame[7] = proved
+            # FHUT: once the leftmost subtree proves head∪tail frequent and
+            # covered, the other children cannot reach a new maximal set.
+            if (use_fhut and all_frequent and first_proved) or i == len(children):
+                stack.pop()
+                proved = all_frequent and first_proved
                 continue
-        tail_after = [entry[0] for entry in frame.children[i + 1:]]
-        child_pdr = project_vertical(
-            store, frame.pdr, x, tail_after, tail_mask=suffix_mask
-        )
-        stack.append(
-            NodeFrame(
-                head=child_head,
-                head_support=x_support,
-                tail=tail_after,
-                pdr=child_pdr,
-                view=child_view,
-            )
-        )
+        frame[5] = i + 1
+        nodes += 1
+        x, x_support = children[i]
+        child_head = head | (1 << x)
+        suffix_mask = suffix[i]
+        child_view = view.project(x)
+        if use_hutmfi and child_view.covers_mask(child_head | suffix_mask):
+            proved = True  # generated, dismissed before any counting
+            continue
+        tail = [entry[0] for entry in children[i + 1:]]
+        child_pdr = project_vertical(store, pdr, x, tail, tail_mask=suffix_mask)
+        proved = enter(child_head, x_support, tail, child_pdr, child_view)
 
     if stats is not None:
         stats.nodes_explored += nodes
+    mfi.check_antichain()
     return mfi

@@ -109,6 +109,7 @@ def maximal_filter(fi: FrequentSet) -> MfiStore:
         for x in items:
             mask |= 1 << x
         store.add(mask, support)
+    store.check_antichain()
     return store
 
 
@@ -178,4 +179,5 @@ def mine_bitmap_baseline(db: TransactionDatabase, minsup: int) -> MfiStore:
         s, x, tids = extensions[i]
         frame[2] = i + 1
         proved = enter(head | (1 << x), tids, s, [e[1] for e in extensions[i + 1:]])
+    mfi.check_antichain()
     return mfi

@@ -83,7 +83,7 @@ def test_mine_counters_go_to_stderr(tiny_file, capsys):
 
 def test_mine_toggle_flags_accepted(tiny_file, capsys):
     assert cli.main(["mine", str(tiny_file), "--minsup", "2", "--no-pep",
-                     "--no-fhut", "--no-hutmfi", "--no-reorder", "--no-lmfi"]) == 0
+                     "--no-fhut", "--no-hutmfi", "--no-reorder"]) == 0
     assert capsys.readouterr().out == TINY_MS2_OUTPUT
 
 

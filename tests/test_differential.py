@@ -1,5 +1,5 @@
 """Differential test: the hybrid engine, under every counting mode and
-prune/reorder/view toggle, must render byte for byte what the bitmap
+prune/reorder toggle, must render byte for byte what the bitmap
 baseline and the brute-force oracle render, on generated edge shapes."""
 
 from hypothesis import given, settings
@@ -43,14 +43,19 @@ def databases(draw):
     mode=st.sampled_from(list(CountMode)),
     toggles=st.fixed_dictionaries({
         name: st.booleans()
-        for name in ("enable_pep", "enable_fhut", "enable_hutmfi", "enable_reorder", "use_lmfi")
+        for name in ("enable_pep", "enable_fhut", "enable_hutmfi", "enable_reorder")
     }),
 )
 def test_three_miners_render_identically(case, mode, toggles):
     text, minsup = case
     db, item_map = prune_and_remap(parse_fimi(text), minsup)
     config = MinerConfig(minsup=minsup, mode=mode, **toggles)
-    hybrid = render_mfi(mine_mfi(build_hdr(db), config), item_map)
-    baseline = render_mfi(mine_bitmap_baseline(db, minsup), item_map)
+    mined = mine_mfi(build_hdr(db), config)
+    reference = mine_bitmap_baseline(db, minsup)
+    if all(toggles.values()):
+        # Same search order: same insertion order and supports.
+        assert list(mined) == list(reference)
+    hybrid = render_mfi(mined, item_map)
+    baseline = render_mfi(reference, item_map)
     oracle = render_mfi(maximal_filter(enumerate_fi_bruteforce(db, minsup)), item_map)
     assert hybrid == baseline == oracle

@@ -1,6 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import hybridmfi
 
 from hybridmfi import (
     CostCounters,
@@ -13,6 +19,7 @@ from hybridmfi import (
     enumerate_fi_bruteforce,
     gen_sparse,
     maximal_filter,
+    mine_bitmap_baseline,
     mine_mfi,
     parse_fimi,
     prune_and_remap,
@@ -168,6 +175,48 @@ def test_store_add_keeps_antichain():
     assert mfi.as_dict() == {frozenset({0, 2}): 2, frozenset({1}): 2}
 
 
+def test_check_antichain_rejects_nested_sets():
+    mfi = MfiStore(2)
+    mfi.add(0b01, 2)
+    mfi.add(0b11, 1)  # {a} is stored first, so add finds no superset
+    with pytest.raises(AssertionError):
+        mfi.check_antichain()
+    mfi = MfiStore(2)
+    mfi.add(0b01, 2)
+    mfi.add(0b10, 2)
+    mfi.check_antichain()
+
+
+def test_check_antichain_runs_under_optimize():
+    script = (
+        "from hybridmfi import MfiStore\n"
+        "mfi = MfiStore(2)\n"
+        "mfi.add(0b01, 2)\n"
+        "mfi.add(0b11, 1)\n"
+        "mfi.check_antichain()\n"
+    )
+    src = str(Path(hybridmfi.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode != 0
+    assert "AssertionError" in done.stderr
+
+
+@pytest.mark.parametrize("miner", ["hybrid", "baseline", "filter"])
+def test_miners_check_antichain_before_returning(monkeypatch, miner):
+    # With the superset query disabled, add keeps subsets of stored sets;
+    # each miner must refuse to return such a store.
+    db, _ = prune_and_remap(gen_sparse(30, 8, 3, 0), 2)
+    monkeypatch.setattr(MfiStore, "covers_mask", lambda self, mask: False)
+    with pytest.raises(AssertionError):
+        if miner == "hybrid":
+            mine_mfi(build_hdr(db), MinerConfig(minsup=2, enable_hutmfi=False))
+        elif miner == "baseline":
+            mine_bitmap_baseline(db, 2)
+        else:
+            maximal_filter(enumerate_fi_bruteforce(db, 2))
+
+
 def test_lmfi_view_project_filters_by_item():
     mfi = MfiStore(5)
     mfi.add(0b00101, 2)
@@ -202,16 +251,6 @@ def test_prune_is_live_in_engine(toggle):
         without = mine_mfi(store, MinerConfig(minsup=2, **{toggle: False}), stats=off)
         assert without.as_dict() == with_prune.as_dict(), f"seed {seed}"
         assert off.nodes_explored > on.nodes_explored, f"seed {seed}"
-
-
-def test_mine_with_and_without_lmfi_views():
-    for seed in range(30):
-        db, _ = prune_and_remap(gen_sparse(35, 10, 3, seed), seed % 3 + 1)
-        store = build_hdr(db)
-        minsup = seed % 3 + 1
-        with_views = mine_mfi(store, MinerConfig(minsup=minsup, use_lmfi=True))
-        without = mine_mfi(store, MinerConfig(minsup=minsup, use_lmfi=False))
-        assert with_views.as_dict() == without.as_dict()
 
 
 def test_mine_matches_oracle_on_random_databases():
