@@ -1,4 +1,5 @@
-"""Maximal frequent itemset mining over a hybrid cell-array / bitmap store."""
+"""Maximal frequent itemset mining over a hybrid store of per-transaction
+rank arrays, per-transaction bitmaps and per-item transaction lists."""
 
 from .dataset import (
     FimiParseError,

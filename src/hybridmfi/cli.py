@@ -317,7 +317,8 @@ def _add_toggle_flags(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hybridmfi",
-        description="Maximal frequent itemset mining over a hybrid cell-array/bitmap store.",
+        description="Maximal frequent itemset mining over a hybrid store of "
+        "per-transaction rank arrays and bitmaps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -72,8 +72,8 @@ class TransactionDatabase:
 
 def parse_fimi(text: str | bytes) -> RawDatabase:
     """Parse FIMI text: one transaction per non-blank line, whitespace-separated
-    non-negative integer labels. Duplicates within a line collapse; items are
-    sorted ascending."""
+    non-negative integer labels written in plain ASCII digits. Duplicates
+    within a line collapse; items are sorted ascending."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -85,18 +85,18 @@ def parse_fimi(text: str | bytes) -> RawDatabase:
         tokens = line.split()
         if not tokens:
             continue
-        items: set[int] = set()
-        for tok in tokens:
-            try:
-                value = int(tok)
-            except ValueError:
-                raise FimiParseError(line_no, f"non-integer token {tok!r}") from None
-            if value < 0:
-                raise FimiParseError(line_no, f"negative item {value}")
-            if value > _MAX_LABEL:
-                raise FimiParseError(line_no, f"item {value} exceeds the 32-bit range")
-            items.add(value)
-        txn = sorted(items)
+        # Labels are plain ASCII digit runs: no sign, underscore or
+        # non-ASCII digit, all of which int() would accept.
+        joined = "".join(tokens)
+        if not (joined.isascii() and joined.isdigit()):
+            bad = next(t for t in tokens if not (t.isascii() and t.isdigit()))
+            raise FimiParseError(line_no, f"token {bad!r} is not an ASCII decimal label")
+        try:
+            txn = sorted(set(map(int, tokens)))
+        except ValueError:  # more digits than int() will convert
+            raise FimiParseError(line_no, "item has too many digits") from None
+        if txn[-1] > _MAX_LABEL:
+            raise FimiParseError(line_no, f"item {txn[-1]} exceeds the 32-bit range")
         transactions.append(txn)
         universe.update(txn)
     return RawDatabase(transactions, frozenset(universe))

@@ -1,11 +1,11 @@
-"""Hybrid transaction store. The horizontal part is one flat array of
-cells, one per item occurrence, grouped by transaction; the vertical part is
-one bitmap per transaction, plus each item's ascending transaction list,
-which gives the root projection without a scan.
+"""Hybrid transaction store. The horizontal part is the pruned database
+itself: one ascending rank array per transaction. The vertical part is one
+bitmap per transaction, plus each item's ascending transaction list, which
+gives the root projection without a scan.
 
 Support counting at a search node runs in one of two modes over the node's
 projected transactions (its Pdr): a horizontal scan that walks each
-transaction's cells, or bitmap probes against the tail. ``select_mode``
+transaction's rank array, or bitmap probes against the tail. ``select_mode``
 switches on how short the projected transactions are relative to the tail.
 The store is immutable after ``build_hdr`` and safe to share between
 concurrent mining runs; Pdr objects are per-node and never mutated after
@@ -54,27 +54,23 @@ class Pdr:
 
 
 class HdrStore:
-    """The hybrid layout. Horizontal: ``cell_item`` holds every transaction's
-    ranks contiguously and ascending, and ``txn_first_cell`` has one trailing
-    sentinel entry equal to the cell count, so transaction t owns the
-    half-open cell range [txn_first_cell[t], txn_first_cell[t+1]). Vertical:
-    ``txn_bitmap[t]`` has bit x set iff transaction t contains rank x, and
-    ``item_txns[x]`` lists the transactions containing rank x in ascending
-    order."""
+    """The hybrid layout. Horizontal: ``db.transactions[t]`` is transaction
+    t's ascending rank array, and ``cell_count`` is the total number of item
+    occurrences (cells) across them. Vertical: ``txn_bitmap[t]`` has bit x
+    set iff transaction t contains rank x, and ``item_txns[x]`` lists the
+    transactions containing rank x in ascending order."""
 
-    __slots__ = ("db", "cell_item", "txn_first_cell", "txn_bitmap", "item_txns")
+    __slots__ = ("db", "cell_count", "txn_bitmap", "item_txns")
 
     def __init__(
         self,
         db: TransactionDatabase,
-        cell_item: list[int],
-        txn_first_cell: list[int],
+        cell_count: int,
         txn_bitmap: list[int],
         item_txns: list[list[int]],
     ):
         self.db = db
-        self.cell_item = cell_item
-        self.txn_first_cell = txn_first_cell
+        self.cell_count = cell_count
         self.txn_bitmap = txn_bitmap
         self.item_txns = item_txns
 
@@ -86,10 +82,6 @@ class HdrStore:
     def txn_count(self) -> int:
         return len(self.db.transactions)
 
-    @property
-    def cell_count(self) -> int:
-        return len(self.cell_item)
-
     def root_pdr(self) -> Pdr:
         """Projection of the empty head: every transaction, every cell in
         the tail (the tail at the root is the whole item range)."""
@@ -97,22 +89,19 @@ class HdrStore:
 
 
 def build_hdr(db: TransactionDatabase) -> HdrStore:
-    """Lay out the cells, the bitmaps and the per-item transaction lists in
-    a single pass over the database."""
-    cell_item: list[int] = []
-    txn_first = [0] * (len(db.transactions) + 1)
+    """Lay out the bitmaps and the per-item transaction lists in a single
+    pass over the database, counting its cells on the way."""
+    cells = 0
     bitmaps: list[int] = []
     item_txns: list[list[int]] = [[] for _ in range(db.item_count)]
     for t, txn in enumerate(db.transactions):
-        txn_first[t] = len(cell_item)
-        cell_item.extend(txn)
+        cells += len(txn)
         bits = 0
         for x in txn:
             item_txns[x].append(t)
             bits |= 1 << x
         bitmaps.append(bits)
-    txn_first[-1] = len(cell_item)
-    return HdrStore(db, cell_item, txn_first, bitmaps, item_txns)
+    return HdrStore(db, cells, bitmaps, item_txns)
 
 
 def select_mode(pdr_atl: float, tail_size: int) -> CountMode:
@@ -140,10 +129,9 @@ def count_supports(
         member = bytearray(store.item_count)
         for y in tail:
             member[y] = 1
-        cell_item = store.cell_item
-        first = store.txn_first_cell
+        transactions = store.db.transactions
         for t in pdr.txns:
-            for x in cell_item[first[t]:first[t + 1]]:
+            for x in transactions[t]:
                 if member[x]:
                     counts[x] += 1
         result = {y: counts[y] for y in tail}
@@ -201,11 +189,11 @@ def project_vertical(
 
 
 def verify_counts(store: HdrStore, pdr: Pdr, tail) -> bool:
-    """Debug oracle: recompute tail supports four independent ways (raw
-    transaction rescan, cell slices, per-item transaction lists, bitmap
-    probes) and check that every item's transaction list is strictly
-    ascending. True only if everything agrees. Slow by design; never used on
-    the mining hot path."""
+    """Debug oracle: recompute tail supports three independent ways (a
+    rescan of the rows the horizontal kernel reads, per-item transaction
+    lists, bitmap probes) and check that every item's transaction list is
+    strictly ascending. True only if everything agrees. Slow by design; never
+    used on the mining hot path."""
     try:
         return _verify_counts(store, pdr, tail)
     except IndexError:
@@ -222,13 +210,6 @@ def _verify_counts(store: HdrStore, pdr: Pdr, tail) -> bool:
             if x in tail_set:
                 raw[x] += 1
 
-    sliced = dict.fromkeys(tail, 0)
-    first = store.txn_first_cell
-    for t in pdr.txns:
-        for x in store.cell_item[first[t]:first[t + 1]]:
-            if x in tail_set:
-                sliced[x] += 1
-
     listed = {}
     for y in tail:
         txns = store.item_txns[y]
@@ -239,4 +220,4 @@ def _verify_counts(store: HdrStore, pdr: Pdr, tail) -> bool:
     bitmap = {
         y: sum(1 for t in pdr.txns if store.txn_bitmap[t] >> y & 1) for y in tail
     }
-    return raw == sliced == listed == bitmap
+    return raw == listed == bitmap

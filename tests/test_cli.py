@@ -68,6 +68,17 @@ def test_mine_rejects_malformed_file(tmp_path):
     assert cli.main(["mine", str(bad), "--minsup", "1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "token", ["1_000", "+3", "\u0663", "-0"],
+    ids=["underscore", "plus", "arabic_indic", "minus_zero"],
+)
+def test_mine_rejects_non_decimal_label(tmp_path, capsys, token):
+    bad = tmp_path / "bad.dat"
+    bad.write_text(f"1 2\n3 {token}\n", encoding="utf-8")
+    assert cli.main(["mine", str(bad), "--minsup", "1"]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_mine_rejects_bad_gen_spec():
     assert cli.main(["mine", "gen:10:5:2", "--minsup", "1"]) == 2
     assert cli.main(["mine", "gen:10:5:2:a", "--minsup", "1"]) == 2

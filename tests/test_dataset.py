@@ -40,11 +40,16 @@ def test_parse_accepts_bytes():
     assert parse_fimi(b"1 2\n").transactions == [[1, 2]]
 
 
-def test_parse_rejects_non_integer_token():
+@pytest.mark.parametrize(
+    "token",
+    ["x", "1_000", "+3", "\u0663", "-0"],  # \u0663 is the Arabic-Indic digit 3
+    ids=["letter", "underscore", "plus", "arabic_indic", "minus_zero"],
+)
+def test_parse_rejects_non_integer_token(token):
     with pytest.raises(FimiParseError) as exc:
-        parse_fimi("1 2\n3 x 4\n")
+        parse_fimi(f"1 2\n3 {token} 4\n")
     assert exc.value.line_no == 2
-    assert "x" in str(exc.value)
+    assert repr(token) in str(exc.value)
 
 
 def test_parse_rejects_negative_item():
@@ -57,6 +62,9 @@ def test_parse_rejects_overflowing_item():
     with pytest.raises(FimiParseError) as exc:
         parse_fimi(f"{2**32}\n")
     assert exc.value.line_no == 1
+    with pytest.raises(FimiParseError) as exc:
+        parse_fimi("1\n" + "9" * 5000 + "\n")  # past int()'s digit limit
+    assert exc.value.line_no == 2
 
 
 def test_global_supports_tiny_db(tiny_raw):

@@ -19,9 +19,8 @@ from hybridmfi import (
 
 def clone_store(store):
     return HdrStore(
-        store.db,
-        list(store.cell_item),
-        list(store.txn_first_cell),
+        copy.deepcopy(store.db),
+        store.cell_count,
         list(store.txn_bitmap),
         [list(txns) for txns in store.item_txns],
     )
@@ -38,8 +37,8 @@ def test_build_vertical_chain(tiny_ms2):
 def test_build_single_transaction_hchain():
     db, _ = prune_and_remap(parse_fimi("1 2 3\n"), 1)
     store = build_hdr(db)
-    assert store.txn_first_cell == [0, 3]
-    assert store.cell_item == [0, 1, 2]
+    assert store.db.transactions == [[0, 1, 2]]
+    assert store.cell_count == 3
     assert store.item_txns == [[0], [0], [0]]
     assert store.txn_bitmap == [0b111]
 
@@ -47,9 +46,10 @@ def test_build_single_transaction_hchain():
 def test_build_repeated_transaction_vertical_links():
     db, _ = prune_and_remap(parse_fimi("1\n1\n"), 1)
     store = build_hdr(db)
+    assert store.db.transactions == [[0], [0]]
     assert store.cell_count == 2
     assert store.item_txns == [[0, 1]]
-    assert store.txn_first_cell == [0, 1, 2]
+    assert store.txn_bitmap == [0b1, 0b1]
 
 
 def test_build_bitmaps_match_transactions(tiny_ms1):
@@ -60,12 +60,15 @@ def test_build_bitmaps_match_transactions(tiny_ms1):
 
 
 def test_build_cells_grouped_by_transaction(tiny_ms1):
+    # Each row is an ascending rank array, and every cell of it shows up in
+    # the item's transaction list and the row's bitmap.
     db, _, store = tiny_ms1
+    assert store.cell_count == sum(len(txn) for txn in db.transactions)
     for t, txn in enumerate(db.transactions):
-        lo, hi = store.txn_first_cell[t], store.txn_first_cell[t + 1]
-        assert store.cell_item[lo:hi] == txn
+        assert txn == sorted(set(txn))
         for x in txn:
             assert t in store.item_txns[x]
+            assert store.txn_bitmap[t] >> x & 1
 
 
 def test_build_empty_database():
@@ -250,20 +253,17 @@ def test_verify_counts_catches_unsorted_item_txns(tiny_ms2):
     assert not verify_counts(broken, broken.root_pdr(), [0, 1, 2])
 
 
-def test_verify_counts_catches_corrupted_hlink(tiny_ms2):
-    _, _, store = tiny_ms2
-    broken = clone_store(store)
-    broken.txn_first_cell[1] -= 1  # txn 0's last cell slides into txn 1
-    pdr = project_vertical(broken, broken.root_pdr(), 0, [1, 2])
-    assert verify_counts(store, pdr, [1, 2])
-    assert not verify_counts(broken, pdr, [1, 2])
-
-
 def test_verify_counts_catches_wrong_item(tiny_ms2):
     _, _, store = tiny_ms2
     broken = clone_store(store)
-    broken.cell_item[0] = 2
-    assert not verify_counts(broken, broken.root_pdr(), [0, 1, 2])
+    broken.db.transactions[0][1] = 2  # txn 0 reads {1, 3} instead of {1, 2}
+    tail = [0, 1, 2]
+    # The horizontal kernel reads the pruned rows, so it now disagrees with
+    # the bitmaps; the original store's rows are untouched.
+    assert count_supports(broken, broken.root_pdr(), tail, CountMode.HORIZONTAL) != \
+        count_supports(broken, broken.root_pdr(), tail, CountMode.BITMAP)
+    assert verify_counts(store, store.root_pdr(), tail)
+    assert not verify_counts(broken, broken.root_pdr(), tail)
 
 
 def test_verify_counts_catches_wrong_bitmap(tiny_ms2):

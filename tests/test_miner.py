@@ -325,3 +325,18 @@ def test_deep_tail_survives_without_recursion():
     store = build_hdr(db)
     result = mine_mfi(store, MinerConfig(minsup=1, enable_pep=False))
     assert label_mfi(result, item_map) == {frozenset(range(1, n + 1)): 1}
+
+
+@pytest.mark.parametrize("mode", list(CountMode), ids=lambda m: m.value)
+def test_leave_one_out_deep_path_matches_baseline(mode):
+    # Every row but one drops a single item, so the leftmost path descends
+    # through all n items before the full row closes it; the hybrid engine
+    # must give the baseline's sets, supports and insertion order.
+    n = 200
+    labels = range(1, n + 1)
+    rows = [" ".join(str(x) for x in labels if x != j) for j in labels]
+    rows.append(" ".join(str(x) for x in labels))
+    db, _ = prune_and_remap(parse_fimi("\n".join(rows) + "\n"), 1)
+    result = mine_mfi(build_hdr(db), MinerConfig(minsup=1, mode=mode))
+    assert list(result) == list(mine_bitmap_baseline(db, 1))
+    assert len(result) == 1
