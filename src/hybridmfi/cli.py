@@ -43,7 +43,6 @@ CSV_COLUMNS = [
     "mfi_count",
     "wall_time_ms",
     "cells_touched",
-    "bit_tests",
     "nodes_explored",
 ]
 
@@ -54,8 +53,8 @@ class CliError(Exception):
 
 @dataclass
 class RunReport:
-    """One mining run's summary; counter fields stay None unless
-    instrumentation was enabled for the run."""
+    """One mining run's summary; the counter fields are filled for hybrid
+    runs only."""
 
     dataset: str
     algorithm: str
@@ -64,7 +63,6 @@ class RunReport:
     mfi_count: int
     wall_time_ms: int
     cells_touched: int | None = None
-    bit_tests: int | None = None
     nodes_explored: int | None = None
 
     def csv_row(self) -> list:
@@ -79,7 +77,6 @@ class RunReport:
             self.mfi_count,
             self.wall_time_ms,
             opt(self.cells_touched),
-            opt(self.bit_tests),
             opt(self.nodes_explored),
         ]
 
@@ -93,8 +90,6 @@ class RunReport:
         ]
         if self.cells_touched is not None:
             parts.append(f"cells_touched={self.cells_touched}")
-        if self.bit_tests is not None:
-            parts.append(f"bit_tests={self.bit_tests}")
         if self.nodes_explored is not None:
             parts.append(f"nodes_explored={self.nodes_explored}")
         return " ".join(parts)
@@ -179,14 +174,12 @@ def _run_algorithm(
     minsup_abs: int,
     mode: CountMode,
     config_flags: dict,
-    instrument: bool,
 ) -> tuple[MfiStore, ItemMap, RunReport]:
     db, item_map = prune_and_remap(raw, minsup_abs)
     n = len(raw.transactions)
     rel = minsup_abs / n if n else 0.0
     started = _now_ms()
-    counters = CostCounters() if instrument else None
-    stats = SearchStats() if instrument else None
+    counters, stats = CostCounters(), SearchStats()
     if algorithm == "hybrid":
         store = build_hdr(db)
         config = MinerConfig(minsup=minsup_abs, mode=mode, **config_flags)
@@ -206,9 +199,8 @@ def _run_algorithm(
         mfi_count=len(result),
         wall_time_ms=elapsed,
     )
-    if algorithm == "hybrid" and instrument:
+    if algorithm == "hybrid":
         report.cells_touched = counters.cells_touched
-        report.bit_tests = counters.bit_tests
         report.nodes_explored = stats.nodes_explored
     return result, item_map, report
 
@@ -222,32 +214,24 @@ def _config_flags(args) -> dict:
     }
 
 
-def cmd_mine(args) -> int:
+def _mine_one(args, algorithm: str, mode: CountMode, config_flags: dict) -> int:
+    """Mine ``args.input`` once, write the rendered sets to ``args.output``
+    and the run summary to stderr."""
     raw = _load_dataset(args.input)
     minsup_abs = resolve_minsup(parse_minsup(args.minsup), len(raw.transactions))
-    result, item_map, report = _run_algorithm(
-        args.algorithm,
-        raw,
-        minsup_abs,
-        CountMode(args.mode),
-        _config_flags(args),
-        args.counters,
-    )
+    result, item_map, report = _run_algorithm(algorithm, raw, minsup_abs, mode, config_flags)
     report.dataset = args.input
     _write_output(args.output, render_mfi(result, item_map))
     print(report.summary(), file=sys.stderr)
     return EXIT_OK
 
 
+def cmd_mine(args) -> int:
+    return _mine_one(args, args.algorithm, CountMode(args.mode), _config_flags(args))
+
+
 def cmd_oracle(args) -> int:
-    raw = _load_dataset(args.input)
-    minsup_abs = resolve_minsup(parse_minsup(args.minsup), len(raw.transactions))
-    db, item_map = prune_and_remap(raw, minsup_abs)
-    result = maximal_filter(enumerate_fi_bruteforce(db, minsup_abs))
-    _write_output(args.output, render_mfi(result, item_map))
-    print(f"dataset={args.input} algorithm=oracle minsup={minsup_abs} mfi={len(result)}",
-          file=sys.stderr)
-    return EXIT_OK
+    return _mine_one(args, "oracle", CountMode.AUTO, {})
 
 
 def cmd_bench(args) -> int:
@@ -267,7 +251,7 @@ def cmd_bench(args) -> int:
             outputs: dict[str, str] = {}
             for algorithm in algorithms:
                 result, item_map, report = _run_algorithm(
-                    algorithm, raw, minsup_abs, CountMode(args.mode), flags, args.counters
+                    algorithm, raw, minsup_abs, CountMode(args.mode), flags
                 )
                 report.dataset = dataset
                 outputs[algorithm] = render_mfi(result, item_map)
@@ -330,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--mode", choices=["auto", "horizontal", "bitmap"], default="auto",
                       help="counting mode for the hybrid engine")
     mine.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-    mine.add_argument("--counters", action="store_true",
-                      help="report counting costs and node count on stderr")
     _add_toggle_flags(mine)
     mine.set_defaults(func=cmd_mine)
 
@@ -350,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated subset of hybrid,bitmap,oracle")
     bench.add_argument("--mode", choices=["auto", "horizontal", "bitmap"], default="auto")
     bench.add_argument("--csv", required=True, help="output CSV path")
-    bench.add_argument("--counters", action="store_true",
-                       help="fill the cost columns for hybrid rows")
     _add_toggle_flags(bench)
     bench.set_defaults(func=cmd_bench)
 

@@ -71,25 +71,24 @@ class TransactionDatabase:
 
 
 def parse_fimi(text: str | bytes) -> RawDatabase:
-    """Parse FIMI text: one transaction per non-blank line, whitespace-separated
-    non-negative integer labels written in plain ASCII digits. Duplicates
-    within a line collapse; items are sorted ascending."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError:
-            raise FimiParseError(0, "input is not valid UTF-8") from None
+    """Parse FIMI text: one transaction per non-blank line, non-negative
+    integer labels written in plain ASCII digits and separated by ASCII
+    whitespace. Duplicates within a line collapse; items are sorted
+    ascending."""
+    if isinstance(text, str):
+        text = text.encode("utf-8", "surrogatepass")
     transactions: list[list[int]] = []
     universe: set[int] = set()
+    # The bytes methods are ASCII-only: lines end only at \n or \r, tokens
+    # split only on ASCII whitespace, and a label is a run of ASCII digits.
+    # The str methods and int() would also take Unicode spaces and line
+    # separators, signs, underscores and non-ASCII digits.
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if not tokens:
             continue
-        # Labels are plain ASCII digit runs: no sign, underscore or
-        # non-ASCII digit, all of which int() would accept.
-        joined = "".join(tokens)
-        if not (joined.isascii() and joined.isdigit()):
-            bad = next(t for t in tokens if not (t.isascii() and t.isdigit()))
+        if not b"".join(tokens).isdigit():
+            bad = next(t for t in tokens if not t.isdigit()).decode("utf-8", "replace")
             raise FimiParseError(line_no, f"token {bad!r} is not an ASCII decimal label")
         try:
             txn = sorted(set(map(int, tokens)))

@@ -28,13 +28,12 @@ class CountMode(enum.Enum):
 
 @dataclass
 class CostCounters:
-    """Work tallies, accumulated across counting calls and never reset
-    internally. Horizontal calls bill one cells_touched per tail-member cell
-    visited; bitmap calls bill one bit_tests per (transaction, tail item)
-    probe."""
+    """Work tally, accumulated across counting calls and never reset
+    internally. Every counting call bills one cells_touched per tail-item
+    occurrence it tallied, whichever mode ran it, so the total is a property
+    of the search and not of the counting mode."""
 
     cells_touched: int = 0
-    bit_tests: int = 0
 
 
 @dataclass(slots=True)
@@ -120,8 +119,8 @@ def count_supports(
     counters: CostCounters | None = None,
 ) -> dict[int, int]:
     """Support of head∪{y} for every tail item y, over the node's projected
-    transactions. Identical results in both modes; only the cost profile
-    (and the billed counter) differs."""
+    transactions. Both modes give identical results and bill identical
+    work; only their speed differs."""
     if mode is CountMode.AUTO:
         mode = select_mode(pdr.atl, len(tail))
     counts = [0] * store.item_count
@@ -134,9 +133,6 @@ def count_supports(
             for x in transactions[t]:
                 if member[x]:
                     counts[x] += 1
-        result = {y: counts[y] for y in tail}
-        if counters is not None:
-            counters.cells_touched += sum(result.values())
     else:
         tail_mask = 0
         for y in tail:
@@ -148,27 +144,17 @@ def count_supports(
                 low = bits & -bits
                 counts[low.bit_length() - 1] += 1
                 bits ^= low
-        result = {y: counts[y] for y in tail}
-        if counters is not None:
-            counters.bit_tests += len(pdr.txns) * len(tail)
+    result = {y: counts[y] for y in tail}
+    if counters is not None:
+        counters.cells_touched += sum(result.values())
     return result
 
 
-def project_vertical(
-    store: HdrStore,
-    parent: Pdr,
-    y: int,
-    tail_after,
-    tail_mask: int | None = None,
-) -> Pdr:
+def project_vertical(store: HdrStore, parent: Pdr, y: int, tail_mask: int) -> Pdr:
     """Child projection for branching on item y: the parent transactions that
-    contain y, with the child's restricted length sum computed over
-    ``tail_after`` in the same pass. ``tail_mask`` may carry a precomputed
-    bitmask of tail_after. The parent is left untouched."""
-    if tail_mask is None:
-        tail_mask = 0
-        for z in tail_after:
-            tail_mask |= 1 << z
+    contain y, with the child's restricted length sum computed in the same
+    pass over the child's tail, given as the bitmask ``tail_mask``. The
+    parent is left untouched."""
     bitmaps = store.txn_bitmap
     restricted = 0
     if len(parent.txns) == store.txn_count:

@@ -39,10 +39,9 @@ class MfiStore:
     inverted index (rank -> positions of the maximal sets containing it) so
     superset queries only scan the least-populated item's list."""
 
-    __slots__ = ("item_count", "_masks", "_supports", "_index")
+    __slots__ = ("_masks", "_supports", "_index")
 
     def __init__(self, item_count: int):
-        self.item_count = item_count
         self._masks: list[int] = []
         self._supports: list[int] = []
         self._index: list[list[int]] = [[] for _ in range(item_count)]
@@ -184,7 +183,7 @@ def mine_mfi(
     """Mine all maximal frequent itemsets from a store built on a database
     pruned at ``config.minsup``. The result is independent of the config
     toggles and of the counting mode; the empty itemset is never emitted.
-    Pass ``counters``/``stats`` to collect counting costs and the node count.
+    Pass ``counters``/``stats`` to collect the counting work and the node count.
     """
     mfi = MfiStore(store.item_count)
     if store.item_count == 0 or store.txn_count == 0:
@@ -258,7 +257,7 @@ def mine_mfi(
             proved = True  # generated, dismissed before any counting
             continue
         tail = [entry[0] for entry in children[i + 1:]]
-        child_pdr = project_vertical(store, pdr, x, tail, tail_mask=suffix_mask)
+        child_pdr = project_vertical(store, pdr, x, suffix_mask)
         proved = enter(child_head, x_support, tail, child_pdr, child_view)
 
     if stats is not None:

@@ -69,8 +69,9 @@ def test_mine_rejects_malformed_file(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "token", ["1_000", "+3", "\u0663", "-0"],
-    ids=["underscore", "plus", "arabic_indic", "minus_zero"],
+    "token", ["1_000", "+3", "\u0663", "-0", "1\u00a02", "1\u20282", "1\x1c2", "1\x852"],
+    ids=["underscore", "plus", "arabic_indic", "minus_zero",
+         "nbsp", "line_separator", "file_separator", "next_line"],
 )
 def test_mine_rejects_non_decimal_label(tmp_path, capsys, token):
     bad = tmp_path / "bad.dat"
@@ -85,11 +86,11 @@ def test_mine_rejects_bad_gen_spec():
 
 
 def test_mine_counters_go_to_stderr(tiny_file, capsys):
-    assert cli.main(["mine", str(tiny_file), "--minsup", "2", "--counters"]) == 0
+    assert cli.main(["mine", str(tiny_file), "--minsup", "2"]) == 0
     err = capsys.readouterr().err
-    assert "cells_touched=" in err
-    assert "bit_tests=" in err
-    assert "nodes_explored=" in err
+    keys = [part.split("=")[0] for part in err.split()]
+    assert keys == ["dataset", "algorithm", "minsup", "mfi", "time_ms",
+                    "cells_touched", "nodes_explored"]
 
 
 def test_mine_toggle_flags_accepted(tiny_file, capsys):
@@ -125,18 +126,9 @@ def test_bench_happy_path(tiny_file, tmp_path):
     assert [r[1] for r in body] == ["hybrid", "bitmap", "hybrid", "bitmap"]
     assert [r[2] for r in body] == ["2", "2", "3", "3"]
     assert all(r[4] == "2" for r in body)
-    # cost columns stay blank without --counters
-    assert all(r[6] == "" and r[7] == "" and r[8] == "" for r in body)
-
-
-def test_bench_counters_fill_hybrid_rows_only(tiny_file, tmp_path):
-    out = tmp_path / "bench.csv"
-    assert cli.main(["bench", str(tiny_file), "--minsup", "2", "--csv", str(out),
-                     "--counters"]) == 0
-    body = read_csv(str(out))[1:]
-    by_algo = {r[1]: r for r in body}
-    assert by_algo["hybrid"][8].isdigit()
-    assert by_algo["bitmap"][8] == ""
+    # cost columns: filled for hybrid rows, blank for the baseline
+    assert all(r[6].isdigit() and r[7].isdigit() for r in body if r[1] == "hybrid")
+    assert all(r[6] == "" and r[7] == "" for r in body if r[1] == "bitmap")
 
 
 def test_bench_generated_dataset_is_deterministic(tmp_path):

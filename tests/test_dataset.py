@@ -42,14 +42,23 @@ def test_parse_accepts_bytes():
 
 @pytest.mark.parametrize(
     "token",
-    ["x", "1_000", "+3", "\u0663", "-0"],  # \u0663 is the Arabic-Indic digit 3
-    ids=["letter", "underscore", "plus", "arabic_indic", "minus_zero"],
+    # \u0663 is the Arabic-Indic digit 3. The last four join two labels with
+    # a character that str.split() or str.splitlines() would break on.
+    ["x", "1_000", "+3", "\u0663", "-0", "1\u00a02", "1\u20282", "1\x1c2", "1\x852"],
+    ids=["letter", "underscore", "plus", "arabic_indic", "minus_zero",
+         "nbsp", "line_separator", "file_separator", "next_line"],
 )
 def test_parse_rejects_non_integer_token(token):
     with pytest.raises(FimiParseError) as exc:
         parse_fimi(f"1 2\n3 {token} 4\n")
     assert exc.value.line_no == 2
     assert repr(token) in str(exc.value)
+
+
+def test_parse_rejects_invalid_utf8_byte():
+    with pytest.raises(FimiParseError) as exc:
+        parse_fimi(b"1 2\n3 \xff\n")
+    assert exc.value.line_no == 2
 
 
 def test_parse_rejects_negative_item():

@@ -17,6 +17,10 @@ from hybridmfi import (
 )
 
 
+def mask_of(items):
+    return sum(1 << x for x in items)
+
+
 def clone_store(store):
     return HdrStore(
         copy.deepcopy(store.db),
@@ -92,22 +96,22 @@ def test_count_root_horizontal_cost(tiny_ms1):
                             CountMode.HORIZONTAL, counters)
     assert counts == {0: 3, 1: 2, 2: 4, 3: 1, 4: 1}
     assert counters.cells_touched == 11
-    assert counters.bit_tests == 0
 
 
 def test_count_root_bitmap_cost(tiny_ms1):
+    # The bitmap kernel bills the set bits it pulls out, the same 11
+    # occurrences the horizontal kernel counts.
     _, _, store = tiny_ms1
     counters = CostCounters()
     counts = count_supports(store, store.root_pdr(), list(range(5)),
                             CountMode.BITMAP, counters)
     assert counts == {0: 3, 1: 2, 2: 4, 3: 1, 4: 1}
-    assert counters.bit_tests == 25
-    assert counters.cells_touched == 0
+    assert counters.cells_touched == 11
 
 
 def test_count_node_after_projection(tiny_ms2):
     _, _, store = tiny_ms2
-    pdr = project_vertical(store, store.root_pdr(), 0, [1, 2])
+    pdr = project_vertical(store, store.root_pdr(), 0, 0b110)
     assert pdr.txns == [0, 2, 4]
     counts = count_supports(store, pdr, [1, 2], CountMode.HORIZONTAL)
     assert counts == {1: 1, 2: 2}
@@ -118,8 +122,9 @@ def test_count_auto_resolves_per_call(tiny_ms1):
     _, _, store = tiny_ms1
     counters = CostCounters()
     count_supports(store, store.root_pdr(), list(range(5)), CountMode.AUTO, counters)
-    # Root ATL 2.2 < 5/2, so auto runs horizontally.
-    assert counters.cells_touched == 11 and counters.bit_tests == 0
+    # Root ATL 2.2 < 5/2, so auto runs horizontally; either mode bills 11.
+    assert select_mode(store.root_pdr().atl, 5) is CountMode.HORIZONTAL
+    assert counters.cells_touched == 11
 
 
 def test_counters_accumulate(tiny_ms1):
@@ -127,30 +132,30 @@ def test_counters_accumulate(tiny_ms1):
     counters = CostCounters()
     count_supports(store, store.root_pdr(), list(range(5)), CountMode.HORIZONTAL, counters)
     count_supports(store, store.root_pdr(), list(range(5)), CountMode.BITMAP, counters)
-    assert counters.cells_touched == 11 and counters.bit_tests == 25
+    assert counters.cells_touched == 11 + 11
 
 
 def test_project_from_root_uses_ascending_txns(tiny_ms2):
     _, _, store = tiny_ms2
-    child = project_vertical(store, store.root_pdr(), 0, [1, 2])
+    child = project_vertical(store, store.root_pdr(), 0, 0b110)
     assert child.txns == [0, 2, 4]
-    grand = project_vertical(store, child, 2, [])
+    grand = project_vertical(store, child, 2, 0)
     assert grand.txns == [2, 4]
     assert grand.restricted_length_sum == 0
 
 
 def test_project_absent_item_gives_empty(tiny_ms1):
     _, _, store = tiny_ms1
-    node_d = project_vertical(store, store.root_pdr(), 3, [4])
+    node_d = project_vertical(store, store.root_pdr(), 3, 0b10000)
     assert node_d.txns == [0]
-    empty = project_vertical(store, node_d, 4, [])
+    empty = project_vertical(store, node_d, 4, 0)
     assert empty.txns == [] and empty.atl == 0
 
 
 def test_project_restricted_sum_counts_tail_cells(tiny_ms1):
     db, _, store = tiny_ms1
     tail_after = [1, 2, 3, 4]
-    child = project_vertical(store, store.root_pdr(), 0, tail_after)
+    child = project_vertical(store, store.root_pdr(), 0, mask_of(tail_after))
     expected = sum(
         sum(1 for x in db.transactions[t] if x in set(tail_after)) for t in child.txns
     )
@@ -161,7 +166,7 @@ def test_project_leaves_parent_untouched(tiny_ms2):
     _, _, store = tiny_ms2
     root = store.root_pdr()
     before = (list(root.txns), root.restricted_length_sum)
-    project_vertical(store, root, 2, [0, 1])
+    project_vertical(store, root, 2, 0b011)
     assert (root.txns, root.restricted_length_sum) == before
 
 
@@ -186,7 +191,7 @@ def test_mode_independence_on_random_nodes():
             assert h == b
             y = rng.choice(tail)
             tail = [x for x in tail if x != y]
-            pdr = project_vertical(store, pdr, y, tail)
+            pdr = project_vertical(store, pdr, y, mask_of(tail))
             if not pdr.txns:
                 break
 
@@ -202,25 +207,33 @@ def test_projection_support_identity():
         tail = list(range(db.item_count))
         counts = count_supports(store, pdr, tail, CountMode.BITMAP)
         for y in tail:
-            child = project_vertical(store, pdr, y, [x for x in tail if x != y])
+            child = project_vertical(store, pdr, y, mask_of(x for x in tail if x != y))
             assert len(child.txns) == counts[y]
             assert child.txns == sorted(set(child.txns))
             assert set(child.txns) <= set(pdr.txns)
 
 
 def test_cost_model_bounds():
+    # Every counting call bills the tail-item occurrences it tallied, the
+    # same in both modes and never more than the cells in the store.
     for seed in range(8):
         raw = gen_sparse(30, 8, 3, seed)
         db, _ = prune_and_remap(raw, 1)
         store = build_hdr(db)
-        pdr = store.root_pdr()
+        root = store.root_pdr()
         tail = list(range(db.item_count))
-        ch = CostCounters()
-        count_supports(store, pdr, tail, CountMode.HORIZONTAL, ch)
-        assert ch.cells_touched <= sum(len(t) for t in db.transactions)
-        cb = CostCounters()
-        count_supports(store, pdr, tail, CountMode.BITMAP, cb)
-        assert cb.bit_tests == len(pdr.txns) * len(tail)
+        nodes = [(root, tail)] + [
+            (project_vertical(store, root, y, mask_of(tail[i + 1:])), tail[i + 1:])
+            for i, y in enumerate(tail)
+        ]
+        for pdr, node_tail in nodes:
+            billed = []
+            for mode in (CountMode.HORIZONTAL, CountMode.BITMAP):
+                counters = CostCounters()
+                counts = count_supports(store, pdr, node_tail, mode, counters)
+                assert counters.cells_touched == sum(counts.values())
+                billed.append(counters.cells_touched)
+            assert billed[0] == billed[1] <= store.cell_count
 
 
 def test_verify_counts_on_fresh_stores(tiny_ms1, tiny_ms2):
@@ -234,7 +247,7 @@ def test_verify_counts_on_fresh_stores(tiny_ms1, tiny_ms2):
 
 def test_verify_counts_on_projected_node(tiny_ms2):
     _, _, store = tiny_ms2
-    pdr = project_vertical(store, store.root_pdr(), 0, [1, 2])
+    pdr = project_vertical(store, store.root_pdr(), 0, 0b110)
     assert verify_counts(store, pdr, [1, 2])
 
 

@@ -129,7 +129,7 @@ def test_pep_containment_property():
         tail = list(range(db.item_count))
         y = tail[0]
         rest = tail[1:]
-        pdr = project_vertical(store, root, y, rest)
+        pdr = project_vertical(store, root, y, sum(1 << x for x in rest))
         counts = count_supports(store, pdr, rest, CountMode.BITMAP)
         head_support = len(pdr.txns)
         for x, s in counts.items():
@@ -312,7 +312,26 @@ def test_stats_and_counters_populated(tiny_ms2):
     counters, stats = CostCounters(), SearchStats()
     mine_mfi(store, MinerConfig(minsup=2), counters=counters, stats=stats)
     assert stats.nodes_explored >= 1
-    assert counters.cells_touched + counters.bit_tests > 0
+    assert counters.cells_touched > 0
+
+
+def test_counters_identical_across_modes():
+    # The counting mode changes only how supports are tallied, so the work
+    # billed and the nodes searched must match in every mode.
+    for seed in range(30):
+        db, _ = prune_and_remap(gen_sparse(30, 10, 3, seed), 2)
+        store = build_hdr(db)
+        for toggles in itertools.product([False, True], repeat=4):
+            pep, fhut, hutmfi, reorder = toggles
+            billed = set()
+            for mode in CountMode:
+                config = MinerConfig(minsup=2, mode=mode, enable_pep=pep,
+                                     enable_fhut=fhut, enable_hutmfi=hutmfi,
+                                     enable_reorder=reorder)
+                counters, stats = CostCounters(), SearchStats()
+                mine_mfi(store, config, counters=counters, stats=stats)
+                billed.add((counters.cells_touched, stats.nodes_explored))
+            assert len(billed) == 1, (seed, toggles, billed)
 
 
 def test_deep_tail_survives_without_recursion():

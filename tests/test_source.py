@@ -1,12 +1,17 @@
-"""Invariants in the package must not depend on the interpreter's -O flag:
-an ``assert`` statement or a ``__debug__`` branch vanishes under it."""
+"""Checks on the source itself. Invariants in the package must not depend
+on the interpreter's -O flag: an ``assert`` statement or a ``__debug__``
+branch vanishes under it. README must show only the CLI that exists."""
 
+import argparse
 import ast
+import re
 from pathlib import Path
 
 import hybridmfi
+from hybridmfi import cli
 
 PACKAGE = Path(hybridmfi.__file__).resolve().parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_package_has_no_assert_or_debug_branch():
@@ -20,3 +25,25 @@ def test_package_has_no_assert_or_debug_branch():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, "checks that -O removes: " + ", ".join(found)
+
+
+def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
+    options = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _option_strings(sub)
+    return options
+
+
+def test_readme_matches_cli():
+    text = README.read_text()
+    columns = re.search(r"Columns: `([^`]*)`", text)
+    assert columns, "README has no bench Columns: list"
+    assert re.split(r",\s*", columns.group(1).strip()) == cli.CSV_COLUMNS
+    cli_text = "\n".join(line for line in text.splitlines() if "pip install" not in line)
+    shown = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", cli_text))
+    assert shown
+    unknown = shown - _option_strings(cli.build_parser())
+    assert not unknown, f"README shows options the CLI rejects: {sorted(unknown)}"
