@@ -126,9 +126,19 @@ def test_bench_happy_path(tiny_file, tmp_path):
     assert [r[1] for r in body] == ["hybrid", "bitmap", "hybrid", "bitmap"]
     assert [r[2] for r in body] == ["2", "2", "3", "3"]
     assert all(r[4] == "2" for r in body)
-    # cost columns: filled for hybrid rows, blank for the baseline
-    assert all(r[6].isdigit() and r[7].isdigit() for r in body if r[1] == "hybrid")
-    assert all(r[6] == "" and r[7] == "" for r in body if r[1] == "bitmap")
+
+
+def test_bench_counters_fill_hybrid_rows_only(tiny_file, tmp_path):
+    out = tmp_path / "bench.csv"
+    assert cli.main(["bench", str(tiny_file), "--minsup", "2", "--csv", str(out)]) == 0
+    header, *body = read_csv(str(out))
+    cells = header.index("cells_touched")
+    nodes = header.index("nodes_explored")
+    by_algo = {r[1]: r for r in body}
+    assert by_algo["hybrid"][cells].isdigit()
+    assert by_algo["hybrid"][nodes].isdigit()
+    assert by_algo["bitmap"][cells] == ""
+    assert by_algo["bitmap"][nodes] == ""
 
 
 def test_bench_generated_dataset_is_deterministic(tmp_path):
