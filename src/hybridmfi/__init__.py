@@ -1,5 +1,6 @@
 """Maximal frequent itemset mining over a hybrid store of per-transaction
-rank arrays, per-transaction bitmaps and per-item transaction lists."""
+rank arrays and per-item transaction lists and transaction bitmasks, with
+per-transaction bitmaps for projecting list-carrying nodes."""
 
 from .dataset import (
     FimiParseError,
@@ -19,6 +20,7 @@ from .hdr import (
     CountMode,
     HdrStore,
     Pdr,
+    TidMask,
     build_hdr,
     count_supports,
     project_vertical,
@@ -59,6 +61,7 @@ __all__ = [
     "CountMode",
     "HdrStore",
     "Pdr",
+    "TidMask",
     "build_hdr",
     "count_supports",
     "project_vertical",

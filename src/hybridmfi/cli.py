@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -95,21 +96,25 @@ class RunReport:
         return " ".join(parts)
 
 
+_MINSUP_INTEGER = re.compile(r"[0-9]+")
+_MINSUP_FRACTION = re.compile(r"[0-9]*\.[0-9]+|[0-9]+\.")
+
+
 def parse_minsup(text: str) -> int | float:
-    """Absolute when the token is an integer, relative when it is a float in
-    (0, 1]. Anything else is rejected."""
-    try:
-        value = int(text)
-    except ValueError:
-        pass
-    else:
+    """Absolute when the token is ASCII digits, relative when it is an ASCII
+    decimal fraction in (0, 1]. Anything else (a sign, a ``_`` separator,
+    an exponent, surrounding space, a non-ASCII digit) is rejected."""
+    if _MINSUP_INTEGER.fullmatch(text):
+        try:
+            value = int(text)
+        except ValueError:  # beyond int()'s digit limit
+            raise CliError(f"absolute minsup has too many digits: {text[:20]}...") from None
         if value < 1:
             raise CliError(f"absolute minsup must be >= 1, got {text}")
         return value
-    try:
-        fraction = float(text)
-    except ValueError:
-        raise CliError(f"minsup must be an integer or a fraction, got {text!r}") from None
+    if not _MINSUP_FRACTION.fullmatch(text):
+        raise CliError(f"minsup must be an integer or a decimal fraction, got {text!r}")
+    fraction = float(text)
     if not 0.0 < fraction <= 1.0:
         raise CliError(f"relative minsup must be in (0, 1], got {text}")
     return fraction
@@ -302,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hybridmfi",
         description="Maximal frequent itemset mining over a hybrid store of "
-        "per-transaction rank arrays and bitmaps.",
+        "per-transaction rank arrays and per-item transaction bitmasks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

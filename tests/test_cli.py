@@ -57,7 +57,16 @@ def test_mine_missing_file():
     assert cli.main(["mine", "/no/such/file.dat", "--minsup", "2"]) == 2
 
 
-@pytest.mark.parametrize("bad", ["0", "-1", "1.5", "abc", "0.0"])
+# int() and float() would accept every case from "1_000" on; only ASCII
+# digits and one ASCII decimal point make a minsup.
+@pytest.mark.parametrize("bad", [
+    "0", "-1", "1.5", "abc", "0.0", "1_000", "+3", "0.2_5", "5e-1", "nan",
+    pytest.param("\u0663", id="arabic_indic"),
+    pytest.param("\u0660.\u0665", id="arabic_indic_fraction"),
+    pytest.param(" 3", id="leading_space"),
+    pytest.param("3\n", id="trailing_newline"),
+    pytest.param("9" * 5000, id="too_many_digits"),
+])
 def test_mine_rejects_bad_minsup(tiny_file, bad):
     assert cli.main(["mine", str(tiny_file), "--minsup", bad]) == 2
 
@@ -224,6 +233,9 @@ def test_stats_parse_error(tmp_path):
 def test_parse_minsup_roundtrip():
     assert cli.parse_minsup("3") == 3
     assert cli.parse_minsup("0.25") == 0.25
+    assert cli.parse_minsup("007") == 7
+    assert cli.parse_minsup(".5") == 0.5
+    assert cli.parse_minsup("1.") == 1.0
     assert cli.resolve_minsup(0.25, 10) == 3
     assert cli.resolve_minsup(0.001, 10) == 1
     assert cli.resolve_minsup(4, 10) == 4

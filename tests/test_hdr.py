@@ -6,6 +6,7 @@ from hybridmfi import (
     CountMode,
     HdrStore,
     Pdr,
+    TidMask,
     build_hdr,
     count_supports,
     gen_sparse,
@@ -27,6 +28,7 @@ def clone_store(store):
         store.cell_count,
         list(store.txn_bitmap),
         [list(txns) for txns in store.item_txns],
+        list(store.item_tidmask),
     )
 
 
@@ -177,23 +179,40 @@ def test_root_pdr_restricted_sum_is_cell_count(tiny_ms1):
 
 
 def test_mode_independence_on_random_nodes():
+    # The mode that counts last leaves the node in its form, so alternating
+    # the order gives mask-born children of bitmap-counted parents and
+    # list-born children of horizontally counted ones, and each conversion
+    # runs in both directions.
     rng = random.Random(17)
+    born = set()
     for seed in range(15):
         raw = gen_sparse(rng.randrange(5, 50), rng.randrange(3, 14), 3, seed)
         db, _ = prune_and_remap(raw, 2)
         if not db.transactions:
             continue
         store = build_hdr(db)
-        pdr, tail = store.root_pdr(), list(range(db.item_count))
-        while tail:
-            h = count_supports(store, pdr, tail, CountMode.HORIZONTAL)
-            b = count_supports(store, pdr, tail, CountMode.BITMAP)
-            assert h == b
+        rows = [set(txn) for txn in db.transactions]
+        pdr, tail, path = store.root_pdr(), list(range(db.item_count)), set()
+        step = seed
+        while True:
+            expected = [t for t, row in enumerate(rows) if path <= row]
+            assert list(pdr.txns) == expected
+            assert len(pdr.txns) == len(expected)
+            assert pdr.restricted_length_sum == sum(len(rows[t] & set(tail)) for t in expected)
+            if not tail or not expected:
+                break
+            modes = [CountMode.HORIZONTAL, CountMode.BITMAP]
+            if step % 2:
+                modes.reverse()
+            first, second = (count_supports(store, pdr, tail, mode) for mode in modes)
+            assert first == second == {y: sum(y in rows[t] for t in expected) for y in tail}
             y = rng.choice(tail)
             tail = [x for x in tail if x != y]
+            path.add(y)
             pdr = project_vertical(store, pdr, y, mask_of(tail))
-            if not pdr.txns:
-                break
+            born.add(type(pdr.txns))
+            step += 1
+    assert born == {list, TidMask}
 
 
 def test_projection_support_identity():
@@ -208,9 +227,11 @@ def test_projection_support_identity():
         counts = count_supports(store, pdr, tail, CountMode.BITMAP)
         for y in tail:
             child = project_vertical(store, pdr, y, mask_of(x for x in tail if x != y))
+            # The root was counted in bitmap mode, so the child is a mask.
+            txns = list(child.txns)
             assert len(child.txns) == counts[y]
-            assert child.txns == sorted(set(child.txns))
-            assert set(child.txns) <= set(pdr.txns)
+            assert txns == sorted(set(txns))
+            assert set(txns) <= set(pdr.txns)
 
 
 def test_cost_model_bounds():
@@ -284,3 +305,15 @@ def test_verify_counts_catches_wrong_bitmap(tiny_ms2):
     broken = clone_store(store)
     broken.txn_bitmap[1] |= 1 << 0  # txn 1 claims label 1 it does not hold
     assert not verify_counts(broken, broken.root_pdr(), [0, 1, 2])
+
+
+def test_verify_counts_catches_wrong_tidmask(tiny_ms2):
+    _, _, store = tiny_ms2
+    tail = [0, 1, 2]
+    count_supports(store, store.root_pdr(), tail, CountMode.BITMAP)  # builds the masks
+    broken = clone_store(store)
+    broken.item_tidmask[1] |= 1 << 2  # label 2 claims txn 2, which lacks it
+    assert count_supports(broken, broken.root_pdr(), tail, CountMode.BITMAP) != \
+        count_supports(broken, broken.root_pdr(), tail, CountMode.HORIZONTAL)
+    assert verify_counts(store, store.root_pdr(), tail)
+    assert not verify_counts(broken, broken.root_pdr(), tail)
