@@ -1,6 +1,5 @@
 """Maximal frequent itemset mining over a hybrid store of per-transaction
-rank arrays and per-item transaction lists and transaction bitmasks, with
-per-transaction bitmaps for projecting list-carrying nodes."""
+rank arrays and per-item transaction lists and transaction bitmasks."""
 
 from .dataset import (
     FimiParseError,

@@ -257,7 +257,7 @@ def mine_mfi(
             proved = True  # generated, dismissed before any counting
             continue
         tail = [entry[0] for entry in children[i + 1:]]
-        child_pdr = project_vertical(store, pdr, x, suffix_mask)
+        child_pdr = project_vertical(store, pdr, x)
         proved = enter(child_head, x_support, tail, child_pdr, child_view)
 
     if stats is not None:

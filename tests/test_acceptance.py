@@ -17,6 +17,7 @@ from hybridmfi import (
     CountMode,
     MinerConfig,
     SearchStats,
+    TidMask,
     build_hdr,
     cli,
     count_supports,
@@ -27,7 +28,6 @@ from hybridmfi import (
     mine_mfi,
     parse_fimi,
     prune_and_remap,
-    select_mode,
 )
 
 from conftest import TINY_DB, label_mfi
@@ -101,11 +101,17 @@ def test_average_length_and_mode_choice(tiny_file):
     with contextlib.redirect_stdout(buffer):
         code = cli.main(["stats", str(tiny_file)])
     out = buffer.getvalue()
-    chosen = select_mode(2.2, 5)
+    # The root of the same database holds all 5 transactions, so AUTO
+    # counts it horizontally and delivers the item lists themselves.
+    db, _ = prune_and_remap(parse_fimi(TINY_DB), 1)
+    store = build_hdr(db)
+    root = store.root_pdr()
+    count_supports(store, root, list(range(5)))
+    chosen = CountMode.BITMAP if isinstance(root.txns, TidMask) else CountMode.HORIZONTAL
     ok = (code == 0 and "Average Length=2.2" in out
-          and chosen is CountMode.HORIZONTAL)
-    report(3, ok, f"stats prints Average Length=2.2 and atl 2.2 over 5 tail "
-                  f"items selects {chosen.value}")
+          and chosen is CountMode.HORIZONTAL and root.delivered is store.item_txns)
+    report(3, ok, f"stats prints Average Length=2.2, and AUTO counts the root's "
+                  f"11 cells over 5 tail items {chosen.value}ly from the item lists")
 
 
 def test_three_way_agreement_sweep(sweep):

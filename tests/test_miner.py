@@ -129,12 +129,12 @@ def test_pep_containment_property():
         tail = list(range(db.item_count))
         y = tail[0]
         rest = tail[1:]
-        pdr = project_vertical(store, root, y, sum(1 << x for x in rest))
+        pdr = project_vertical(store, root, y)
         counts = count_supports(store, pdr, rest, CountMode.BITMAP)
         head_support = len(pdr.txns)
         for x, s in counts.items():
             if s == head_support:
-                assert all(store.txn_bitmap[t] >> x & 1 for t in pdr.txns)
+                assert all(x in db.transactions[t] for t in pdr.txns)
 
 
 def test_reorder_explores_ascending_support_first():
@@ -313,6 +313,19 @@ def test_stats_and_counters_populated(tiny_ms2):
     mine_mfi(store, MinerConfig(minsup=2), counters=counters, stats=stats)
     assert stats.nodes_explored >= 1
     assert counters.cells_touched > 0
+
+
+@pytest.mark.parametrize("mode", list(CountMode), ids=lambda m: m.value)
+def test_mining_leaves_the_store_unchanged(mode):
+    # Root children share the store's item lists, and deeper lists pass from
+    # parent to child; no count or projection may write through them.
+    db, _ = prune_and_remap(gen_sparse(300, 30, 6, 4), 3)
+    store = build_hdr(db)
+    mine_mfi(store, MinerConfig(minsup=3, mode=mode))
+    fresh = build_hdr(db)
+    assert store.db.transactions == fresh.db.transactions
+    assert store.item_txns == fresh.item_txns
+    assert (store.cell_count, store.row_cells) == (fresh.cell_count, fresh.row_cells)
 
 
 def test_counters_identical_across_modes():

@@ -1,6 +1,7 @@
 """Checks on the source itself. Invariants in the package must not depend
 on the interpreter's -O flag: an ``assert`` statement or a ``__debug__``
-branch vanishes under it. README must show only the CLI that exists."""
+branch vanishes under it. No module reads the environment. README must
+show only the CLI that exists."""
 
 import argparse
 import ast
@@ -25,6 +26,20 @@ def test_package_has_no_assert_or_debug_branch():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, "checks that -O removes: " + ", ".join(found)
+
+
+def test_package_reads_no_environment():
+    # The counting switch's constants are fitted, not tuned per run: no
+    # module may read an environment variable.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in ("environ", "getenv", "environb", "getenvb"):
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.alias) and node.name in ("environ", "getenv"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, "environment reads: " + ", ".join(found)
 
 
 def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
