@@ -130,7 +130,7 @@ def main() -> None:
                   for fs, t in zip(features, times)]
         print(f"{kernel}: "
               + ", ".join(f"{c:.3g} {name}" for name, c in zip(names[kernel], coefficients))
-              + f" ({len(times)} nodes, {min(times) / 1e3:.3g}-{max(times) / 1e3:.3g} us,"
+              + f" ({len(times)} timings, {min(times) / 1e3:.3g}-{max(times) / 1e3:.3g} us,"
               f" median relative error {statistics.median(errors):.2f})")
     for kernel in ("horizontal", "bitmap", "extract", "build"):
         constants = ", ".join(f"{c:.2g}" for c in fitted[kernel])
