@@ -24,6 +24,7 @@ from .dataset import (
     RawDatabase,
     atl,
     gen_sparse,
+    global_supports,
     prune_and_remap,
     read_fimi,
 )
@@ -284,7 +285,7 @@ def cmd_bench(args) -> int:
 def cmd_stats(args) -> int:
     raw = _load_dataset(args.input)
     lengths = [len(txn) for txn in raw.transactions]
-    print(f"Items={len(raw.label_universe)}")
+    print(f"Items={len(global_supports(raw))}")
     print(f"Records={len(raw.transactions)}")
     print(f"Average Length={atl(raw.transactions):g}")
     print(f"Min Length={min(lengths) if lengths else 0}")

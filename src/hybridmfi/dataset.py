@@ -37,7 +37,6 @@ class RawDatabase:
     """
 
     transactions: list[list[int]]
-    label_universe: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -69,6 +68,17 @@ class TransactionDatabase:
     item_count: int
     minsup: int
 
+    def require_minsup(self, minsup: int) -> None:
+        """Raise ValueError unless the database can be mined at ``minsup``:
+        a positive threshold no lower than the one it was pruned at, below
+        which a pruned item could be frequent."""
+        if minsup < 1:
+            raise ValueError(f"minsup must be a positive integer, got {minsup}")
+        if minsup < self.minsup:
+            raise ValueError(
+                f"cannot mine at minsup {minsup} a database pruned at minsup {self.minsup}"
+            )
+
 
 def parse_fimi(text: str | bytes) -> RawDatabase:
     """Parse FIMI text: one transaction per non-blank line, non-negative
@@ -78,7 +88,6 @@ def parse_fimi(text: str | bytes) -> RawDatabase:
     if isinstance(text, str):
         text = text.encode("utf-8", "surrogatepass")
     transactions: list[list[int]] = []
-    universe: set[int] = set()
     # The bytes methods are ASCII-only: lines end only at \n or \r, tokens
     # split only on ASCII whitespace, and a label is a run of ASCII digits.
     # The str methods and int() would also take Unicode spaces and line
@@ -97,8 +106,7 @@ def parse_fimi(text: str | bytes) -> RawDatabase:
         if txn[-1] > _MAX_LABEL:
             raise FimiParseError(line_no, f"item {txn[-1]} exceeds the 32-bit range")
         transactions.append(txn)
-        universe.update(txn)
-    return RawDatabase(transactions, frozenset(universe))
+    return RawDatabase(transactions)
 
 
 def read_fimi(path) -> RawDatabase:
@@ -173,7 +181,6 @@ def gen_sparse(n_transactions: int, n_items: int, avg_len: int, seed: int) -> Ra
     labels = list(range(1, n_items + 1))
     cum_weights = list(accumulate((rank + 1) ** -_GEN_SKEW for rank in range(n_items)))
     transactions: list[list[int]] = []
-    universe: set[int] = set()
     for _ in range(n_transactions):
         length = _clamped_poisson(rng, avg_len, n_items)
         chosen: set[int] = set()
@@ -181,7 +188,5 @@ def gen_sparse(n_transactions: int, n_items: int, avg_len: int, seed: int) -> Ra
             chosen.update(
                 rng.choices(labels, cum_weights=cum_weights, k=length - len(chosen))
             )
-        txn = sorted(chosen)
-        transactions.append(txn)
-        universe.update(txn)
-    return RawDatabase(transactions, frozenset(universe))
+        transactions.append(sorted(chosen))
+    return RawDatabase(transactions)

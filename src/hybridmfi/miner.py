@@ -7,10 +7,12 @@ Pdr projection. Three prunes cut the tree: parent-equivalence (tail items
 whose support matches the head's move straight into the head), a look-ahead
 that abandons siblings once the leftmost subtree proves the node's entire
 head∪tail frequent, and subsumption (a node whose head∪tail already sits
-inside a known maximal set is dismissed before any counting). Subsumption
-reads node-local LMFI views of the store, which hold only the maximal sets
-that contain the node's branch items. Tails are re-sorted by ascending
-support at every node so the most constrained branches run first.
+inside a known maximal set is dismissed before any counting). The MFI store
+is a vertical bitmap, one mask of store positions per item, so a superset
+query ANDs the position masks of the query's items. Subsumption reads
+node-local LMFI views of the store: position masks of the maximal sets that
+contain the node's branch items. Tails are re-sorted by ascending support at
+every node so the most constrained branches run first.
 
 Recursion is an explicit stack with one frame per branching node, so tail
 depth is bounded by memory and not the interpreter's call limit. The mined
@@ -35,16 +37,17 @@ def _items_of(mask: int) -> frozenset[int]:
 
 
 class MfiStore:
-    """Antichain of maximal itemsets with their supports, plus a per-item
-    inverted index (rank -> positions of the maximal sets containing it) so
-    superset queries only scan the least-populated item's list."""
+    """Antichain of maximal itemsets with their supports, stored as a
+    vertical bitmap: ``_holders[x]`` is a position mask whose bit p is set
+    iff the p-th stored set holds rank x. A superset query is an AND of the
+    position masks of the query's items."""
 
-    __slots__ = ("_masks", "_supports", "_index")
+    __slots__ = ("_masks", "_supports", "_holders")
 
     def __init__(self, item_count: int):
         self._masks: list[int] = []
         self._supports: list[int] = []
-        self._index: list[list[int]] = [[] for _ in range(item_count)]
+        self._holders: list[int] = [0] * item_count
 
     def __len__(self) -> int:
         return len(self._masks)
@@ -56,27 +59,19 @@ class MfiStore:
     def as_dict(self) -> dict[frozenset[int], int]:
         return dict(self)
 
+    def _holding(self, mask: int, positions: int) -> int:
+        """The positions in ``positions`` whose stored set holds every item
+        of ``mask``."""
+        holders = self._holders
+        while mask and positions:
+            low = mask & -mask
+            positions &= holders[low.bit_length() - 1]
+            mask ^= low
+        return positions
+
     def covers_mask(self, mask: int) -> bool:
         """True iff some stored itemset is a superset of ``mask``."""
-        masks = self._masks
-        if not masks:
-            return False
-        if not mask:
-            return True
-        best: list[int] | None = None
-        m = mask
-        while m:
-            low = m & -m
-            bucket = self._index[low.bit_length() - 1]
-            if not bucket:
-                return False
-            if best is None or len(bucket) < len(best):
-                best = bucket
-            m ^= low
-        for i in best:
-            if mask & ~masks[i] == 0:
-                return True
-        return False
+        return self._holding(mask, (1 << len(self._masks)) - 1) != 0
 
     def add(self, mask: int, support: int) -> bool:
         """Insert unless a stored superset exists. The search order guarantees
@@ -85,68 +80,64 @@ class MfiStore:
         confirms it once a mine is done."""
         if self.covers_mask(mask):
             return False
-        pos = len(self._masks)
+        bit = 1 << len(self._masks)
         self._masks.append(mask)
         self._supports.append(support)
+        # Each OR copies a len(self)-bit int, so the inserts of a mine cost
+        # O(k·|MFI|²) bits in all, at C speed.
+        holders = self._holders
         m = mask
         while m:
             low = m & -m
-            self._index[low.bit_length() - 1].append(pos)
+            holders[low.bit_length() - 1] |= bit
             m ^= low
         return True
 
     def check_antichain(self) -> None:
-        """Raise AssertionError if a stored itemset lies inside another. Each
-        set's superset candidates come from its least-populated item's
-        index list. Raised explicitly, so the check also runs under -O."""
+        """Raise AssertionError if a stored itemset lies inside another,
+        earlier or later, or twice. Raised explicitly, so the check also
+        runs under -O."""
         masks = self._masks
+        everything = (1 << len(masks)) - 1
         for pos, mask in enumerate(masks):
-            candidates: range | list[int] = range(len(masks))
-            m = mask
-            while m:
-                low = m & -m
-                bucket = self._index[low.bit_length() - 1]
-                if len(bucket) < len(candidates):
-                    candidates = bucket
-                m ^= low
-            for i in candidates:
-                if i != pos and mask & ~masks[i] == 0:
-                    raise AssertionError(
-                        f"stored itemset {sorted(_items_of(mask))} lies inside "
-                        f"{sorted(_items_of(masks[i]))}"
-                    )
+            others = self._holding(mask, everything ^ (1 << pos))
+            if others:
+                outer = masks[(others & -others).bit_length() - 1]
+                raise AssertionError(
+                    f"stored itemset {sorted(_items_of(mask))} lies inside "
+                    f"{sorted(_items_of(outer))}"
+                )
 
 
 class LmfiView:
-    """Node-local view of an MfiStore: the stored sets known to contain the
-    branch items, plus everything inserted after the view was taken (all
-    inserts below a branch contain its items, so the live suffix is always
-    relevant). Projecting on the next branch item narrows the snapshot and
-    advances the watermark."""
+    """Node-local view of an MfiStore: the position mask of the stored sets
+    known to contain the branch items (the snapshot), plus every position at
+    or above the watermark, i.e. everything inserted after the view was
+    taken (all inserts below a branch contain its items, so they are always
+    relevant). Projecting on the next branch item narrows the view to the
+    sets holding that item and advances the watermark.
 
-    __slots__ = ("store", "indices", "watermark")
+    Every mask mine_mfi asks a view about holds the branch items, so the
+    view answers as ``MfiStore.covers_mask`` would; it stays a class of its
+    own because perfbench times its two methods as a layer of their own."""
 
-    def __init__(self, store: MfiStore, indices: list[int], watermark: int):
+    __slots__ = ("store", "positions", "watermark")
+
+    def __init__(self, store: MfiStore, positions: int, watermark: int):
         self.store = store
-        self.indices = indices
+        self.positions = positions
         self.watermark = watermark
 
     def covers_mask(self, mask: int) -> bool:
-        masks = self.store._masks
-        for i in self.indices:
-            if mask & ~masks[i] == 0:
-                return True
-        for i in range(self.watermark, len(masks)):
-            if mask & ~masks[i] == 0:
-                return True
-        return False
+        store = self.store
+        live = self.positions | ((1 << len(store._masks)) - (1 << self.watermark))
+        return store._holding(mask, live) != 0
 
     def project(self, y: int) -> "LmfiView":
-        masks = self.store._masks
-        bit = 1 << y
-        kept = [i for i in self.indices if masks[i] & bit]
-        kept.extend(i for i in range(self.watermark, len(masks)) if masks[i] & bit)
-        return LmfiView(self.store, kept, len(masks))
+        store = self.store
+        size = len(store._masks)
+        live = self.positions | ((1 << size) - (1 << self.watermark))
+        return LmfiView(store, live & store._holders[y], size)
 
 
 @dataclass
@@ -180,11 +171,13 @@ def mine_mfi(
     counters: CostCounters | None = None,
     stats: SearchStats | None = None,
 ) -> MfiStore:
-    """Mine all maximal frequent itemsets from a store built on a database
-    pruned at ``config.minsup``. The result is independent of the config
+    """Mine all maximal frequent itemsets at ``config.minsup`` from a store
+    built on a database pruned at that minsup or a lower one; a higher prune
+    raises ValueError, since it may have dropped frequent items. The result is independent of the config
     toggles and of the counting mode; the empty itemset is never emitted.
     Pass ``counters``/``stats`` to collect the counting work and the node count.
     """
+    store.db.require_minsup(config.minsup)
     mfi = MfiStore(store.item_count)
     if store.item_count == 0 or store.txn_count == 0:
         return mfi
@@ -234,7 +227,7 @@ def mine_mfi(
 
     nodes = 1  # the root; each generated child adds one below
     proved = enter(0, store.txn_count, list(range(store.item_count)),
-                   store.root_pdr(), LmfiView(mfi, [], 0))
+                   store.root_pdr(), LmfiView(mfi, 0, 0))
     while stack:
         frame = stack[-1]
         head, children, suffix, pdr, view, i, all_frequent, first_proved = frame

@@ -3,8 +3,8 @@
 ``enumerate_fi_bruteforce`` lists every frequent itemset by direct
 transaction scans and is the ground truth at small item counts.
 ``mine_bitmap_baseline`` is a second, independently coded maximal miner over
-per-item transaction bitsets; it shares the search skeleton but none of the
-cell-store machinery.
+per-item transaction bitsets; it shares the search skeleton and ``MfiStore``
+with ``mine_mfi`` and ``maximal_filter``, but none of the HdrStore kernels.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ def enumerate_fi_bruteforce(db: TransactionDatabase, minsup: int) -> FrequentSet
             f"{db.item_count} items exceeds the {BRUTEFORCE_MAX_ITEMS}-item "
             "brute-force limit"
         )
-    if minsup < 1:
-        raise ValueError(f"minsup must be a positive integer, got {minsup}")
+    db.require_minsup(minsup)
     txn_masks = [0] * len(db.transactions)
     for t, txn in enumerate(db.transactions):
         m = 0
@@ -117,10 +116,9 @@ def mine_bitmap_baseline(db: TransactionDatabase, minsup: int) -> MfiStore:
     """Maximal miner over vertical bitsets: one integer bitmask of transaction
     indices per item, child supports by mask intersection. Same pruning ideas
     as the hybrid engine (equal-support absorption, leftmost look-ahead,
-    subsumption, ascending-support order), none of its store machinery.
+    subsumption, ascending-support order), none of its HdrStore machinery.
     Recursion is an explicit frame stack, as in ``mine_mfi``."""
-    if minsup < 1:
-        raise ValueError(f"minsup must be a positive integer, got {minsup}")
+    db.require_minsup(minsup)
     n = len(db.transactions)
     mfi = MfiStore(db.item_count)
     if n == 0 or db.item_count == 0:

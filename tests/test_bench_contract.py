@@ -36,7 +36,9 @@ def test_traced_auto_mine_records_every_kernel():
         result = mine_mfi(build_hdr(db), MinerConfig(minsup=2, mode=CountMode.AUTO))
     summary = rec.summary()
     for name in ("hdr.count_horizontal", "hdr.count_bitmap",
-                 "hdr.project_root", "hdr.project_scan"):
+                 "hdr.project_root", "hdr.project_scan",
+                 "miner.store_add", "miner.store_covers",
+                 "miner.lmfi_project", "miner.lmfi_covers"):
         assert summary.get(name, [0])[0] > 0, name
     # select_mode renamed every counting span after the mode it picked.
     assert "hdr.count" not in summary

@@ -220,6 +220,7 @@ def test_stats_empty_file(tmp_path, capsys):
     empty.write_text("")
     assert cli.main(["stats", str(empty)]) == 0
     out = capsys.readouterr().out
+    assert "Items=0" in out
     assert "Records=0" in out
     assert "Average Length=0" in out
 

@@ -17,13 +17,11 @@ from conftest import TINY_DB
 
 def test_parse_five_transactions(tiny_raw):
     assert tiny_raw.transactions == [[1, 2, 4], [3], [1, 3, 5], [2, 3], [1, 3]]
-    assert tiny_raw.label_universe == frozenset({1, 2, 3, 4, 5})
 
 
 def test_parse_empty_input():
     raw = parse_fimi("")
     assert raw.transactions == []
-    assert raw.label_universe == frozenset()
 
 
 def test_parse_dedupes_and_sorts():
@@ -152,7 +150,6 @@ def test_gen_sparse_deterministic():
 def test_gen_sparse_zero_transactions():
     raw = gen_sparse(0, 20, 5, 1)
     assert raw.transactions == []
-    assert raw.label_universe == frozenset()
 
 
 def test_gen_sparse_mean_length_near_target():

@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -155,15 +156,63 @@ def test_reorder_breaks_support_ties_by_rank():
 
 def test_covers_mask_is_superset_query():
     mfi = MfiStore(5)
-    view = LmfiView(mfi, [], 0)
+    view = LmfiView(mfi, 0, 0)
     for checker in (mfi, view):
         assert not checker.covers_mask(0b101)  # empty store never covers
     mfi.add(0b101, 2)
-    for checker in (mfi, view):
+    # A view taken after the insert sees position 0 only through its snapshot.
+    for checker in (mfi, view, LmfiView(mfi, 0b1, 1)):
         assert checker.covers_mask(0b101)      # equal
         assert checker.covers_mask(0b100)      # proper subset
         assert not checker.covers_mask(0b010)  # disjoint
         assert not checker.covers_mask(0b111)  # proper superset
+    assert not LmfiView(mfi, 0, 1).covers_mask(0b100)
+
+
+def test_store_and_views_match_a_direct_scan():
+    # A few thousand sets over 40 items, so each position mask spans many
+    # machine words. Views form a search path: each projects the one above
+    # it, and every insert holds the deepest view's branch items, as in
+    # mine_mfi. A view counts a stored set that holds all its branch items
+    # or was inserted after the view was taken.
+    rng = random.Random(11)
+    items = 40
+    mfi = MfiStore(items)
+    stored: list[int] = []
+    path = [(LmfiView(mfi, 0, 0), 0, 0)]  # (view, branch items, size when taken)
+    deepest = 1
+
+    def covered(query, branch=0, taken=0):
+        return any(query & ~m == 0 for p, m in enumerate(stored)
+                   if p >= taken or m & branch == branch)
+
+    def random_query():
+        if stored and rng.random() < 0.6:
+            return rng.choice(stored) & rng.getrandbits(items)
+        return rng.getrandbits(items) & rng.getrandbits(items) & rng.getrandbits(items)
+
+    for step in range(2500):
+        _, branch, _ = path[-1]
+        mask = branch | rng.getrandbits(items) & rng.getrandbits(items) & rng.getrandbits(items)
+        expected = not covered(mask)
+        assert mfi.add(mask, 1) == expected, step
+        if expected:
+            stored.append(mask)
+        if rng.random() < 0.05 and len(path) < 8:
+            view, branch, _ = path[-1]
+            y = rng.randrange(items)
+            path.append((view.project(y), branch | 1 << y, len(stored)))
+            deepest = max(deepest, len(path))
+        elif rng.random() < 0.04 and len(path) > 1:
+            path.pop()
+        for _ in range(2):
+            query = random_query()
+            assert mfi.covers_mask(query) == covered(query), (step, query)
+        checked = path if step % 100 == 0 else path[-1:]
+        for view, branch, taken in checked:
+            for query in (random_query(), branch | random_query()):
+                assert view.covers_mask(query) == covered(query, branch, taken), (step, query)
+    assert len(stored) > 1000 and deepest > 3
 
 
 def test_store_add_keeps_antichain():
@@ -175,11 +224,37 @@ def test_store_add_keeps_antichain():
     assert mfi.as_dict() == {frozenset({0, 2}): 2, frozenset({1}): 2}
 
 
-def test_check_antichain_rejects_nested_sets():
+def add_unchecked(monkeypatch, mfi, mask, support):
+    """Insert with the superset query bypassed, so add keeps a set that a
+    stored set already covers."""
+    with monkeypatch.context() as patch:
+        patch.setattr(MfiStore, "covers_mask", lambda self, mask: False)
+        assert mfi.add(mask, support)
+
+
+def test_check_antichain_rejects_nested_sets(monkeypatch):
     mfi = MfiStore(2)
     mfi.add(0b01, 2)
     mfi.add(0b11, 1)  # {a} is stored first, so add finds no superset
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match=r"\[0\] lies inside \[0, 1\]"):
+        mfi.check_antichain()
+    mfi = MfiStore(2)
+    mfi.add(0b11, 1)
+    add_unchecked(monkeypatch, mfi, 0b01, 2)  # inside an earlier set
+    with pytest.raises(AssertionError, match=r"\[0\] lies inside \[0, 1\]"):
+        mfi.check_antichain()
+    mfi = MfiStore(2)
+    mfi.add(0b10, 2)
+    add_unchecked(monkeypatch, mfi, 0b10, 2)  # exact duplicate
+    with pytest.raises(AssertionError, match=r"\[1\] lies inside \[1\]"):
+        mfi.check_antichain()
+    # Positions above 64: 70 disjoint pairs, then a set inside the 67th.
+    mfi = MfiStore(140)
+    for p in range(70):
+        mfi.add(0b11 << 2 * p, 2)
+    mfi.check_antichain()
+    add_unchecked(monkeypatch, mfi, 1 << 2 * 66 + 1, 3)
+    with pytest.raises(AssertionError, match=r"\[133\] lies inside \[132, 133\]"):
         mfi.check_antichain()
     mfi = MfiStore(2)
     mfi.add(0b01, 2)
@@ -217,21 +292,38 @@ def test_miners_check_antichain_before_returning(monkeypatch, miner):
             maximal_filter(enumerate_fi_bruteforce(db, 2))
 
 
+@pytest.mark.parametrize("miner", ["hybrid", "baseline", "bruteforce"])
+def test_miners_reject_a_database_pruned_above_minsup(tiny_raw, miner):
+    # Pruned at 3, the tiny database has lost label 2 (support 2), so a
+    # mine at 2 would miss the maximal set {2}. A higher minsup stays legal.
+    db, _ = prune_and_remap(tiny_raw, 3)
+    run = {
+        "hybrid": lambda minsup: mine_mfi(build_hdr(db), MinerConfig(minsup=minsup)),
+        "baseline": lambda minsup: mine_bitmap_baseline(db, minsup),
+        "bruteforce": lambda minsup: enumerate_fi_bruteforce(db, minsup),
+    }[miner]
+    with pytest.raises(ValueError, match="minsup 2 .* pruned at minsup 3"):
+        run(2)
+    assert len(run(3)) == 2
+    assert len(run(4)) == 1
+
+
 def test_lmfi_view_project_filters_by_item():
     mfi = MfiStore(5)
     mfi.add(0b00101, 2)
     mfi.add(0b00010, 2)
-    root = LmfiView(mfi, [], 0)
-    assert root.project(2).indices == [0]
-    assert root.project(3).indices == []
+    root = LmfiView(mfi, 0, 0)
+    assert (root.project(2).positions, root.project(2).watermark) == (0b01, 2)
+    assert (root.project(1).positions, root.project(1).watermark) == (0b10, 2)
+    assert root.project(3).positions == 0
     narrowed = root.project(0).project(2)
-    assert narrowed.indices == [0]
+    assert (narrowed.positions, narrowed.watermark) == (0b01, 2)
     assert narrowed.covers_mask(0b101) and not narrowed.covers_mask(0b010)
 
 
 def test_lmfi_view_sees_later_inserts():
     mfi = MfiStore(5)
-    view = LmfiView(mfi, [], 0).project(1)
+    view = LmfiView(mfi, 0, 0).project(1)
     mfi.add((1 << 1) | (1 << 3), 2)
     assert view.covers_mask((1 << 1) | (1 << 3))
     narrowed = view.project(3)
