@@ -38,9 +38,8 @@ def _items_of(mask: int) -> frozenset[int]:
 
 class MfiStore:
     """Antichain of maximal itemsets with their supports, stored as a
-    vertical bitmap: ``_holders[x]`` is a position mask whose bit p is set
-    iff the p-th stored set holds rank x. A superset query is an AND of the
-    position masks of the query's items."""
+    vertical bitmap: bit p of ``_holders[x]`` is set iff the p-th stored set
+    holds rank x, so a superset query ANDs the masks of the query's items."""
 
     __slots__ = ("_masks", "_supports", "_holders")
 
@@ -110,16 +109,12 @@ class MfiStore:
 
 
 class LmfiView:
-    """Node-local view of an MfiStore: the position mask of the stored sets
-    known to contain the branch items (the snapshot), plus every position at
-    or above the watermark, i.e. everything inserted after the view was
-    taken (all inserts below a branch contain its items, so they are always
-    relevant). Projecting on the next branch item narrows the view to the
-    sets holding that item and advances the watermark.
-
-    Every mask mine_mfi asks a view about holds the branch items, so the
-    view answers as ``MfiStore.covers_mask`` would; it stays a class of its
-    own because perfbench times its two methods as a layer of their own."""
+    """Node-local view of an MfiStore: a position mask of the stored sets
+    known to hold the branch items, plus every position from the watermark
+    on, inserted after the view was taken (all inserts below a branch hold
+    its items). Projecting on the next branch item keeps the positions
+    holding it and advances the watermark. For every mask mine_mfi asks, it
+    answers as the store would; it stays a class so perfbench times it apart."""
 
     __slots__ = ("store", "positions", "watermark")
 
@@ -173,9 +168,10 @@ def mine_mfi(
 ) -> MfiStore:
     """Mine all maximal frequent itemsets at ``config.minsup`` from a store
     built on a database pruned at that minsup or a lower one; a higher prune
-    raises ValueError, since it may have dropped frequent items. The result is independent of the config
-    toggles and of the counting mode; the empty itemset is never emitted.
-    Pass ``counters``/``stats`` to collect the counting work and the node count.
+    raises ValueError, since it may have dropped frequent items. The result
+    is independent of the config toggles and of the counting mode; the
+    empty itemset is never emitted. Pass ``counters``/``stats`` to collect
+    the counting work and the node count.
     """
     store.db.require_minsup(config.minsup)
     mfi = MfiStore(store.item_count)
