@@ -47,12 +47,7 @@ class ItemMap:
     sorting by label agree everywhere downstream.
     """
 
-    rank_of_label: dict[int, int]
     label_of_rank: list[int]
-
-    @property
-    def item_count(self) -> int:
-        return len(self.label_of_rank)
 
     def labels_of(self, ranks) -> list[int]:
         return sorted(self.label_of_rank[r] for r in ranks)
@@ -141,7 +136,7 @@ def prune_and_remap(db: RawDatabase, minsup: int) -> tuple[TransactionDatabase, 
         mapped = [rank_of[x] for x in txn if x in rank_of]
         if mapped:
             transactions.append(mapped)
-    return TransactionDatabase(transactions, len(keep), minsup), ItemMap(rank_of, keep)
+    return TransactionDatabase(transactions, len(keep), minsup), ItemMap(keep)
 
 
 def atl(transactions) -> float:

@@ -11,10 +11,11 @@ transaction's rank array and appends the transaction to the list of every
 tail item it holds (LCM's occurrence deliver): the lists' lengths are the
 supports and each list is a child's projection. A bitmap count ANDs the
 node's transaction mask with each tail item's mask and popcounts the
-result; a mask node's child is one AND. ``select_mode`` picks the mode whose
-kernels cost less, by a model fitted to their timings. A Pdr carries its
-transactions as a list or as a mask, and children inherit the form their
-parent was counted in.
+result; a mask node's child is one AND. A Pdr starts as a list of its
+transactions. At each list node ``select_mode`` picks the mode whose kernels
+cost less, by a model fitted to their timings; a bitmap count turns the list
+into a mask, and from then on that node and its whole subtree are masks,
+counted by bitmap only.
 """
 
 from __future__ import annotations
@@ -85,19 +86,20 @@ class TidMask:
 @dataclass(slots=True)
 class Pdr:
     """A node's projection: the transactions containing its head, as an
-    ascending index list or a TidMask, and ``cells``, the row cells a
-    horizontal count of it visits: exact for a node born a list, and for one
-    born a mask its size times its parent's cells per row.
+    ascending index list or a TidMask. ``cells``, the row cells a horizontal
+    count of the Pdr visits, is set for a list Pdr and None for one born a
+    mask, which is never counted horizontally.
 
     A horizontal count sets ``delivered``: indexed by rank, the ascending
     list of the Pdr's transactions that hold each counted tail item, None
     for other items, and the store's ``item_txns`` for a Pdr holding every
-    transaction. The transaction set never changes; ``count_supports`` may
-    swap ``txns`` for the other form of the same set. A Pdr's lists may be
-    shared with the store or its parent, so they are never mutated."""
+    transaction. The transaction set never changes; a bitmap count swaps a
+    list ``txns`` for a mask of the same set, never the reverse. A Pdr's
+    lists may be shared with the store or its parent, so they are never
+    mutated."""
 
     txns: list[int] | TidMask
-    cells: int
+    cells: int | None = None
     delivered: list[list[int] | None] | None = None
 
 
@@ -157,35 +159,34 @@ def build_hdr(db: TransactionDatabase) -> HdrStore:
 # Kernel costs in nanoseconds, fitted as select_mode records.
 _HORIZONTAL_NS = (1.7e3, 33.0, 200.0)  # per call, per row cell, per tail item
 _BITMAP_NS = (1.6e3, 150.0, 0.083)  # per call, per tail item, per tail item and transaction
-_EXTRACT_NS = (2.0, 160.0)  # mask -> list: per transaction, per one held
 _BUILD_NS = (3.1, 41.0)  # list -> mask: per transaction, per one held
 
 
 def select_mode(pdr: Pdr, tail_size: int, txn_count: int) -> CountMode:
-    """The counting mode whose kernels cost less at this node. With n store
-    transactions and k tail items, the costs in nanoseconds are
-    horizontal 1700 + 33 pdr.cells + 200 k, plus 2.0 n + 160 |pdr| to
-    extract a mask Pdr's list, and bitmap 1600 + (150 + 0.083 n) k, plus
-    3.1 n + 41 |pdr| to build a list Pdr's mask. A Pdr that holds every
-    transaction is counted horizontally: it reads the item lists, no scan.
+    """The counting mode whose kernels cost less at this node. A mask Pdr
+    is counted by bitmap, and a list Pdr holding every transaction
+    horizontally, from the item lists with no scan. For any other list Pdr,
+    with n store transactions and k tail items, horizontal costs
+    1700 + 33 pdr.cells + 200 k ns and bitmap 1600 + (150 + 0.083 n) k ns,
+    plus 3.1 n + 41 |pdr| to build the Pdr's mask.
 
     ``tools/fit_count_switch.py`` fitted each term by least squares on
     relative error to its kernel's timings on 801 search nodes sampled from
     mines of 1,000 to 100,000 transactions, three rounds each (CPython
     3.11.7, 2-core VM): horizontal counts took 4 us to 7.7 ms, bitmap counts
-    1.5 us to 12 ms, mask -> list 3.3 us to 2.0 ms, list -> mask 3.5 us to
-    0.97 ms; median relative error 0.16 to 0.18 per kernel."""
-    size = len(pdr.txns)
+    1.5 us to 12 ms, list -> mask 3.5 us to 0.97 ms; median relative error
+    0.16 to 0.18 per kernel."""
+    txns = pdr.txns
+    if isinstance(txns, TidMask):
+        return CountMode.BITMAP
+    size = len(txns)
     if size == txn_count:
         return CountMode.HORIZONTAL
     call, per_cell, per_tail = _HORIZONTAL_NS
     horizontal = call + per_cell * pdr.cells + per_tail * tail_size
     call, per_tail, per_tail_txn = _BITMAP_NS
-    bitmap = call + tail_size * (per_tail + per_tail_txn * txn_count)
-    if isinstance(pdr.txns, TidMask):
-        horizontal += _EXTRACT_NS[0] * txn_count + _EXTRACT_NS[1] * size
-    else:
-        bitmap += _BUILD_NS[0] * txn_count + _BUILD_NS[1] * size
+    bitmap = (call + tail_size * (per_tail + per_tail_txn * txn_count)
+              + _BUILD_NS[0] * txn_count + _BUILD_NS[1] * size)
     return CountMode.HORIZONTAL if horizontal < bitmap else CountMode.BITMAP
 
 
@@ -196,17 +197,19 @@ def count_supports(store: HdrStore, pdr: Pdr, tail, mode: CountMode = CountMode.
     every tail item its row holds, keeps the lists on the Pdr as
     ``delivered`` and returns their lengths; a Pdr holding every transaction
     delivers ``item_txns``, with no scan. Bitmap mode popcounts ``pdr mask &
-    item mask`` per tail item. Each mode otherwise first converts the Pdr to
-    its form. Both give identical results and bill identical work."""
+    item mask`` per tail item, first turning a list Pdr into a mask for good.
+    A mask Pdr counted horizontally raises ValueError. Both modes give
+    identical results and bill identical work."""
     if mode is CountMode.AUTO:
         mode = select_mode(pdr, len(tail), store.txn_count)
     txns = pdr.txns
     if mode is CountMode.HORIZONTAL:
+        if isinstance(txns, TidMask):
+            raise ValueError("a mask Pdr is counted by bitmap only: "
+                             "count it in bitmap or auto mode")
         if len(txns) == store.txn_count:
             delivered = store.item_txns
         else:
-            if isinstance(txns, TidMask):
-                txns = pdr.txns = _indices(txns.bits)
             delivered = [None] * store.item_count
             for y in tail:
                 delivered[y] = []
@@ -230,18 +233,16 @@ def count_supports(store: HdrStore, pdr: Pdr, tail, mode: CountMode = CountMode.
 
 def project_vertical(store: HdrStore, parent: Pdr, y: int) -> Pdr:
     """Child projection for branching on item y: the parent transactions
-    that contain y. A mask parent gives a mask child, one AND with y's mask,
-    and estimates its cells at the parent's cells per row. A list parent
-    gives a list child with exact cells: y's ``item_txns`` list when the
-    parent holds every transaction, and otherwise the list the parent's
-    horizontal count delivered for y. The child shares that list and the
-    parent is left untouched. A list parent that no horizontal count over a
-    tail holding y has reached raises ValueError."""
+    that contain y. A mask parent gives a mask child, one AND with y's mask.
+    A list parent gives a list child with its cells: y's ``item_txns`` list
+    when the parent holds every transaction, and otherwise the list the
+    parent's horizontal count delivered for y. The child shares that list
+    and the parent is left untouched. A list parent that no horizontal count
+    over a tail holding y has reached raises ValueError."""
     txns = parent.txns
     if isinstance(txns, TidMask):
         bits = txns.bits & store.tidmask(y)
-        size = bits.bit_count()
-        return Pdr(TidMask(bits, size), parent.cells * size // txns.size if size else 0)
+        return Pdr(TidMask(bits, bits.bit_count()))
     delivered = store.item_txns if len(txns) == store.txn_count else parent.delivered
     child = None if delivered is None else delivered[y]
     if child is None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .dataset import TransactionDatabase
-from .miner import MfiStore
+from .miner import MfiStore, _items_of
 
 BRUTEFORCE_MAX_ITEMS = 24
 
@@ -38,13 +38,6 @@ class FrequentSet:
 
     def as_dict(self) -> dict[frozenset[int], int]:
         return dict(self.itemsets)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def enumerate_fi_bruteforce(db: TransactionDatabase, minsup: int) -> FrequentSet:
@@ -81,7 +74,7 @@ def enumerate_fi_bruteforce(db: TransactionDatabase, minsup: int) -> FrequentSet
             top = mask.bit_length() - 1
             for x in range(top + 1, db.item_count):
                 cand = mask | (1 << x)
-                if any(cand ^ (1 << b) not in found for b in _bits(cand)):
+                if any(cand ^ (1 << b) not in found for b in _items_of(cand)):
                     continue
                 s = support(cand)
                 if s >= minsup:
@@ -89,7 +82,7 @@ def enumerate_fi_bruteforce(db: TransactionDatabase, minsup: int) -> FrequentSet
                     next_level.append(cand)
         level = next_level
     itemsets = [
-        (frozenset(_bits(mask)), s)
+        (_items_of(mask), s)
         for mask, s in sorted(found.items(), key=lambda kv: (bin(kv[0]).count("1"), kv[0]))
     ]
     return FrequentSet(itemsets)
@@ -123,11 +116,14 @@ def mine_bitmap_baseline(db: TransactionDatabase, minsup: int) -> MfiStore:
     mfi = MfiStore(db.item_count)
     if n == 0 or db.item_count == 0:
         return mfi
-    item_tids = [0] * db.item_count
+    # One little-endian byte array per item, filled in one pass over the
+    # cells and read as an int once: OR-ing bits into growing ints is quadratic.
+    item_bytes = [bytearray((n + 7) // 8) for _ in range(db.item_count)]
     for t, txn in enumerate(db.transactions):
-        bit = 1 << t
+        byte, bit = t >> 3, 1 << (t & 7)
         for x in txn:
-            item_tids[x] |= bit
+            item_bytes[x][byte] |= bit
+    item_tids = [int.from_bytes(b, "little") for b in item_bytes]
 
     stack: list[list] = []  # [head, extensions, next child, all_frequent, first_proved]
 

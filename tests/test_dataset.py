@@ -89,7 +89,8 @@ def test_global_supports_repeated_singleton():
 def test_prune_minsup2(tiny_raw):
     db, item_map = prune_and_remap(tiny_raw, 2)
     assert item_map.label_of_rank == [1, 2, 3]
-    assert item_map.rank_of_label == {1: 0, 2: 1, 3: 2}
+    assert [[item_map.label_of_rank[r] for r in txn] for txn in db.transactions] == \
+        [[1, 2], [3], [1, 3], [2, 3], [1, 3]]
     assert db.item_count == 3
     assert db.transactions == [[0, 1], [2], [0, 2], [1, 2], [0, 2]]
     assert db.minsup == 2

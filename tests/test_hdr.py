@@ -96,12 +96,12 @@ def test_select_mode_examples():
     # 1,000 of 5,000 rows and 25,000 cells under a 10-item tail: ten ANDs
     # beat the scan even after building the node's mask.
     assert select_mode(Pdr(list(range(1000)), 25_000), 10, 5_000) is CountMode.BITMAP
-    # Mask Pdrs over 100,000 rows: two ANDs beat extracting 1,000 rows and
-    # scanning 10,000 cells, but 50 ANDs lose to extracting 20 rows.
-    wide = TidMask((1 << 1000) - 1, 1000)
-    assert select_mode(Pdr(wide, 10_000), 2, 100_000) is CountMode.BITMAP
+    # A mask Pdr stays a mask: bitmap, even where its rows as a list would
+    # be scanned (20 rows under a 50-item tail), and even holding every row.
     narrow = TidMask((1 << 20) - 1, 20)
-    assert select_mode(Pdr(narrow, 100), 50, 100_000) is CountMode.HORIZONTAL
+    assert select_mode(Pdr(list(range(20)), 100), 50, 100_000) is CountMode.HORIZONTAL
+    assert select_mode(Pdr(narrow), 50, 100_000) is CountMode.BITMAP
+    assert select_mode(Pdr(TidMask(0b11111, 5)), 1, 5) is CountMode.BITMAP
 
 
 def test_auto_counts_dense_root_children_as_masks():
@@ -175,12 +175,29 @@ def test_count_auto_resolves_per_call(tiny_ms1):
     # lists. Either mode bills 11.
     assert isinstance(root.txns, list) and root.delivered is store.item_txns
     assert counters.cells_touched == 11
-    # A mask child under a one-item tail: one AND beats extracting its list.
+    # A mask child and its own children are counted by bitmap, whatever
+    # the tail.
     count_supports(store, root, list(range(5)), CountMode.BITMAP)
     child = project_vertical(store, root, 2)
-    assert count_supports(store, child, [0], CountMode.AUTO, counters) == {0: 2}
-    assert isinstance(child.txns, TidMask)
-    assert counters.cells_touched == 11 + 2
+    assert count_supports(store, child, [0, 1, 3, 4], CountMode.AUTO, counters) == \
+        {0: 2, 1: 1, 3: 0, 4: 1}
+    grand = project_vertical(store, child, 0)
+    assert count_supports(store, grand, [4], CountMode.AUTO, counters) == {4: 1}
+    assert isinstance(child.txns, TidMask) and isinstance(grand.txns, TidMask)
+    assert child.delivered is grand.delivered is None
+    assert counters.cells_touched == 11 + 4 + 1
+
+
+def test_count_horizontal_rejects_a_mask(tiny_ms1):
+    # No way back: a mask Pdr is never turned into a list, and the error
+    # names the mode to use instead.
+    _, _, store = tiny_ms1
+    root = store.root_pdr()
+    count_supports(store, root, list(range(5)), CountMode.BITMAP)
+    for pdr in (root, project_vertical(store, root, 2)):
+        with pytest.raises(ValueError, match="count it in bitmap or auto mode"):
+            count_supports(store, pdr, [0, 1], CountMode.HORIZONTAL)
+        assert isinstance(pdr.txns, TidMask) and pdr.delivered is None
 
 
 def test_counters_accumulate(tiny_ms1):
@@ -214,7 +231,7 @@ def test_project_absent_item_gives_empty(tiny_ms1):
 
 def test_project_cells_counts_child_row_cells(tiny_ms1):
     # A list-born child's cells are its rows' summed lengths; a mask-born
-    # child's are its size at its parent's cells per row.
+    # child carries none, since nothing counts it horizontally.
     db, _, store = tiny_ms1
     root = store.root_pdr()
     child = project_vertical(store, root, 0)
@@ -223,7 +240,7 @@ def test_project_cells_counts_child_row_cells(tiny_ms1):
     count_supports(store, root, list(range(5)), CountMode.BITMAP)
     masked = project_vertical(store, root, 0)
     assert isinstance(masked.txns, TidMask) and list(masked.txns) == [0, 2, 4]
-    assert masked.cells == 11 * 3 // 5
+    assert masked.cells is None
 
 
 def test_project_leaves_parent_untouched(tiny_ms2):
@@ -257,10 +274,11 @@ def test_root_pdr_cells_is_cell_count(tiny_ms1):
 
 
 def test_mode_independence_on_random_nodes():
-    # The mode that counts last leaves the node in its form, so alternating
-    # the order gives mask-born children of bitmap-counted parents and
-    # list-born children of horizontally counted ones, and each conversion
-    # runs in both directions.
+    # Every node is counted both ways: horizontally as a list and by bitmap
+    # as a mask, one of them on a list copy. At odd steps a list node keeps
+    # its list and the copy is counted by bitmap, so it has list-born
+    # children; otherwise the node is counted by bitmap itself, becomes a
+    # mask and has mask-born children, and so does its whole subtree.
     rng = random.Random(17)
     born = set()
     for seed in range(15):
@@ -280,11 +298,13 @@ def test_mode_independence_on_random_nodes():
                 assert pdr.cells == sum(len(rows[t]) for t in expected)
             if not tail or not expected:
                 break
-            modes = [CountMode.HORIZONTAL, CountMode.BITMAP]
-            if step % 2:
-                modes.reverse()
-            first, second = (count_supports(store, pdr, tail, mode) for mode in modes)
-            assert first == second == {y: sum(y in rows[t] for t in expected) for y in tail}
+            copied = Pdr(list(pdr.txns), sum(len(rows[t]) for t in expected))
+            keep_list = isinstance(pdr.txns, list) and step % 2
+            horizontal = count_supports(store, pdr if keep_list else copied, tail,
+                                        CountMode.HORIZONTAL)
+            bitmap = count_supports(store, copied if keep_list else pdr, tail,
+                                    CountMode.BITMAP)
+            assert horizontal == bitmap == {y: sum(y in rows[t] for t in expected) for y in tail}
             y = rng.choice(tail)
             tail = [x for x in tail if x != y]
             path.add(y)
@@ -383,12 +403,17 @@ def test_verify_counts_catches_wrong_item(tiny_ms2):
 
 
 def test_verify_counts_catches_wrong_bitmap(tiny_ms2):
+    # A mask child is checked as a mask: its transactions come from its bits
+    # and its size from the stored count, with no list to fall back on.
     _, _, store = tiny_ms2
     root = store.root_pdr()
     count_supports(store, root, [0, 1, 2], CountMode.BITMAP)
     child = project_vertical(store, root, 1)  # label 2: txns 0 and 3
-    assert verify_counts(store, child, [2])
+    assert count_supports(store, child, [2]) == {2: 1}
+    assert isinstance(child.txns, TidMask) and verify_counts(store, child, [2])
     child.txns = TidMask(child.txns.bits | 1 << 1, child.txns.size)  # claims txn 1
+    assert not verify_counts(store, child, [2])
+    child.txns = TidMask(0b1001, 3)  # the right bits, a wrong stored size
     assert not verify_counts(store, child, [2])
 
 

@@ -6,10 +6,10 @@ Mines four generated databases (1,000 to 100,000 transactions, sparse and
 dense), keeps every k-th counting call's node, then times each kernel the
 counting switch weighs on those nodes: a horizontal count of the node as a
 list, a bitmap count of it as a mask (item masks built beforehand), and the
-two conversions between the forms. Each timing is the best of seven, and
+build of its mask from its list. Each timing is the best of seven, and
 every node is timed in three rounds. Each kernel's coefficients, in
 nanoseconds, are fitted by least squares on relative error, so small and
-large nodes weigh alike. The last four lines are ``select_mode``'s
+large nodes weigh alike. The last three lines are ``select_mode``'s
 constants, to two significant digits.
 """
 
@@ -21,7 +21,7 @@ import time
 
 import hybridmfi.miner
 from hybridmfi import CountMode, MinerConfig, Pdr, TidMask, build_hdr, gen_sparse, prune_and_remap
-from hybridmfi.hdr import _indices, _mask_of, count_supports
+from hybridmfi.hdr import _mask_of, count_supports
 
 # (transactions, items, average length, seed, minsup, keep every k-th node)
 DATABASES = (
@@ -98,7 +98,10 @@ def main() -> None:
             store.tidmask(y)
         nodes += [(store, txns, tail) for txns, tail in sampled_nodes(store, minsup, every)]
 
-    samples = {name: ([], []) for name in ("horizontal", "bitmap", "extract", "build")}
+    names = {"horizontal": ("per call", "per cell", "per tail item"),
+             "bitmap": ("per call", "per tail item", "per tail item and transaction"),
+             "build": ("per transaction", "per one held")}
+    samples = {name: ([], []) for name in names}
 
     def record(name, features, ns):
         samples[name][0].append(features)
@@ -110,19 +113,13 @@ def main() -> None:
         for store, txns, tail in nodes:
             n, rows = store.txn_count, store.db.transactions
             cells = sum(len(rows[t]) for t in txns)
-            bits = _mask_of(txns, n)
-            mask = TidMask(bits, len(txns))
+            mask = TidMask(_mask_of(txns, n), len(txns))
             record("horizontal", (1, cells, len(tail)), best_ns(
                 lambda: count_supports(store, Pdr(txns, cells), tail, CountMode.HORIZONTAL)))
             record("bitmap", (1, len(tail), len(tail) * n), best_ns(
-                lambda: count_supports(store, Pdr(mask, cells), tail, CountMode.BITMAP)))
-            record("extract", (n, len(txns)), best_ns(lambda: _indices(bits)))
+                lambda: count_supports(store, Pdr(mask), tail, CountMode.BITMAP)))
             record("build", (n, len(txns)), best_ns(lambda: _mask_of(txns, n)))
 
-    names = {"horizontal": ("per call", "per cell", "per tail item"),
-             "bitmap": ("per call", "per tail item", "per tail item and transaction"),
-             "extract": ("per transaction", "per one held"),
-             "build": ("per transaction", "per one held")}
     fitted = {}
     for kernel, (features, times) in samples.items():
         fitted[kernel] = coefficients = fit(features, times)
@@ -132,7 +129,7 @@ def main() -> None:
               + ", ".join(f"{c:.3g} {name}" for name, c in zip(names[kernel], coefficients))
               + f" ({len(times)} timings, {min(times) / 1e3:.3g}-{max(times) / 1e3:.3g} us,"
               f" median relative error {statistics.median(errors):.2f})")
-    for kernel in ("horizontal", "bitmap", "extract", "build"):
+    for kernel in names:
         constants = ", ".join(f"{c:.2g}" for c in fitted[kernel])
         print(f"_{kernel.upper()}_NS = ({constants})")
 
