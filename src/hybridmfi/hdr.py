@@ -2,20 +2,20 @@
 itself: one ascending rank array per transaction. The vertical part is each
 item's ascending transaction list, which is the root's child projection,
 and each item's transaction bitmask (bit t set iff transaction t holds the
-item), built from that list the first time a bitmap-mode count or a mask
-projection needs it.
+item), built from that list the first time a bitmap-mode count needs it.
 
 Support counting at a search node runs over the node's projected
-transactions (its Pdr) in one of two modes. A horizontal count walks each
+transactions (its Pdr) in one of two modes, and in both the count returns
+every child's transactions with its support. A horizontal count walks each
 transaction's rank array and appends the transaction to the list of every
 tail item it holds (LCM's occurrence deliver): the lists' lengths are the
 supports and each list is a child's projection. A bitmap count ANDs the
-node's transaction mask with each tail item's mask and popcounts the
-result; a mask node's child is one AND. A Pdr starts as a list of its
+node's transaction mask with each tail item's mask: the AND is the child's
+projection and its popcount the support. A Pdr starts as a list of its
 transactions. At each list node ``select_mode`` picks the mode whose kernels
-cost less, by a model fitted to their timings; a bitmap count turns the list
-into a mask, and from then on that node and its whole subtree are masks,
-counted by bitmap only.
+cost less, by a model fitted to their timings. A bitmap count builds the
+node's mask from its list, so its children are masks, and from then on the
+whole subtree is masks, counted by bitmap only.
 """
 
 from __future__ import annotations
@@ -83,24 +83,14 @@ class TidMask:
         return iter(_indices(self.bits))
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class Pdr:
     """A node's projection: the transactions containing its head, as an
-    ascending index list or a TidMask. ``cells``, the row cells a horizontal
-    count of the Pdr visits, is set for a list Pdr and None for one born a
-    mask, which is never counted horizontally.
-
-    A horizontal count sets ``delivered``: indexed by rank, the ascending
-    list of the Pdr's transactions that hold each counted tail item, None
-    for other items, and the store's ``item_txns`` for a Pdr holding every
-    transaction. The transaction set never changes; a bitmap count swaps a
-    list ``txns`` for a mask of the same set, never the reverse. A Pdr's
-    lists may be shared with the store or its parent, so they are never
+    ascending index list or a TidMask. A list may be one of the store's
+    ``item_txns``, so neither the Pdr (frozen) nor its list is ever
     mutated."""
 
     txns: list[int] | TidMask
-    cells: int | None = None
-    delivered: list[list[int] | None] | None = None
 
 
 @dataclass(slots=True, eq=False)
@@ -140,8 +130,8 @@ class HdrStore:
         return mask
 
     def root_pdr(self) -> Pdr:
-        """Projection of the empty head: every transaction and every cell."""
-        return Pdr(list(range(self.txn_count)), self.cell_count)
+        """Projection of the empty head: every transaction."""
+        return Pdr(list(range(self.txn_count)))
 
 
 def build_hdr(db: TransactionDatabase) -> HdrStore:
@@ -162,13 +152,14 @@ _BITMAP_NS = (1.6e3, 150.0, 0.083)  # per call, per tail item, per tail item and
 _BUILD_NS = (3.1, 41.0)  # list -> mask: per transaction, per one held
 
 
-def select_mode(pdr: Pdr, tail_size: int, txn_count: int) -> CountMode:
+def select_mode(store: HdrStore, pdr: Pdr, tail_size: int) -> CountMode:
     """The counting mode whose kernels cost less at this node. A mask Pdr
     is counted by bitmap, and a list Pdr holding every transaction
     horizontally, from the item lists with no scan. For any other list Pdr,
-    with n store transactions and k tail items, horizontal costs
-    1700 + 33 pdr.cells + 200 k ns and bitmap 1600 + (150 + 0.083 n) k ns,
-    plus 3.1 n + 41 |pdr| to build the Pdr's mask.
+    with n store transactions, c row cells summed over the Pdr's
+    transactions and k tail items, horizontal costs 1700 + 33 c + 200 k ns
+    and bitmap 1600 + (150 + 0.083 n) k ns, plus 3.1 n + 41 |pdr| to build
+    the Pdr's mask.
 
     ``tools/fit_count_switch.py`` fitted each term by least squares on
     relative error to its kernel's timings on 801 search nodes sampled from
@@ -179,11 +170,12 @@ def select_mode(pdr: Pdr, tail_size: int, txn_count: int) -> CountMode:
     txns = pdr.txns
     if isinstance(txns, TidMask):
         return CountMode.BITMAP
-    size = len(txns)
+    txn_count, size = store.txn_count, len(txns)
     if size == txn_count:
         return CountMode.HORIZONTAL
     call, per_cell, per_tail = _HORIZONTAL_NS
-    horizontal = call + per_cell * pdr.cells + per_tail * tail_size
+    cells = sum(map(store.row_cells.__getitem__, txns))
+    horizontal = call + per_cell * cells + per_tail * tail_size
     call, per_tail, per_tail_txn = _BITMAP_NS
     bitmap = (call + tail_size * (per_tail + per_tail_txn * txn_count)
               + _BUILD_NS[0] * txn_count + _BUILD_NS[1] * size)
@@ -191,17 +183,22 @@ def select_mode(pdr: Pdr, tail_size: int, txn_count: int) -> CountMode:
 
 
 def count_supports(store: HdrStore, pdr: Pdr, tail, mode: CountMode = CountMode.AUTO,
-                   counters: CostCounters | None = None) -> dict[int, int]:
-    """Support of head∪{y} for every tail item y, over the node's projected
-    transactions. Horizontal mode appends each transaction to the list of
-    every tail item its row holds, keeps the lists on the Pdr as
-    ``delivered`` and returns their lengths; a Pdr holding every transaction
-    delivers ``item_txns``, with no scan. Bitmap mode popcounts ``pdr mask &
-    item mask`` per tail item, first turning a list Pdr into a mask for good.
-    A mask Pdr counted horizontally raises ValueError. Both modes give
-    identical results and bill identical work."""
+                   counters: CostCounters | None = None
+                   ) -> list[tuple[int, int, list[int] | int | None]]:
+    """(y, support of head∪{y}, child transactions) for every tail item y,
+    in tail order, over the node's projected transactions. Horizontal mode
+    appends each transaction to the list of every tail item its row holds
+    and returns the lists; a Pdr holding every transaction returns the
+    store's ``item_txns`` lists, with no scan. Bitmap mode ANDs the Pdr's
+    mask (built here from a list Pdr) with each tail item's mask and returns
+    the int masks, but None for a child below the minsup the database was
+    pruned at, which no mine of the store can branch on: every mask spans
+    the whole database, so a wide node's infrequent masks are freed as soon
+    as they are popcounted, as ``mine_bitmap_baseline`` frees them. A mask
+    Pdr counted horizontally raises ValueError. The Pdr is never changed.
+    Both modes give identical supports and bill identical work."""
     if mode is CountMode.AUTO:
-        mode = select_mode(pdr, len(tail), store.txn_count)
+        mode = select_mode(store, pdr, len(tail))
     txns = pdr.txns
     if mode is CountMode.HORIZONTAL:
         if isinstance(txns, TidMask):
@@ -219,49 +216,41 @@ def count_supports(store: HdrStore, pdr: Pdr, tail, mode: CountMode = CountMode.
                     occurrences = delivered[x]
                     if occurrences is not None:
                         occurrences.append(t)
-        pdr.delivered = delivered
-        result = {y: len(delivered[y]) for y in tail}
+        children = [(y, len(delivered[y]), delivered[y]) for y in tail]
     else:
-        if not isinstance(txns, TidMask):
-            txns = pdr.txns = TidMask(_mask_of(txns, store.txn_count), len(txns))
-        bits, tidmask = txns.bits, store.tidmask
-        result = {y: (bits & tidmask(y)).bit_count() for y in tail}
+        bits = txns.bits if isinstance(txns, TidMask) else _mask_of(txns, store.txn_count)
+        tidmask, minsup = store.tidmask, store.db.minsup
+        children = []
+        for y in tail:
+            child = bits & tidmask(y)
+            support = child.bit_count()
+            children.append((y, support, child if support >= minsup else None))
     if counters is not None:
-        counters.cells_touched += sum(result.values())
-    return result
+        counters.cells_touched += sum(support for _, support, _ in children)
+    return children
 
 
-def project_vertical(store: HdrStore, parent: Pdr, y: int) -> Pdr:
-    """Child projection for branching on item y: the parent transactions
-    that contain y. A mask parent gives a mask child, one AND with y's mask.
-    A list parent gives a list child with its cells: y's ``item_txns`` list
-    when the parent holds every transaction, and otherwise the list the
-    parent's horizontal count delivered for y. The child shares that list
-    and the parent is left untouched. A list parent that no horizontal count
-    over a tail holding y has reached raises ValueError."""
-    txns = parent.txns
-    if isinstance(txns, TidMask):
-        bits = txns.bits & store.tidmask(y)
-        return Pdr(TidMask(bits, bits.bit_count()))
-    delivered = store.item_txns if len(txns) == store.txn_count else parent.delivered
-    child = None if delivered is None else delivered[y]
-    if child is None:
-        raise ValueError(
-            f"no delivered list for item {y}: count the parent horizontally over "
-            f"a tail holding it before projecting"
-        )
-    return Pdr(child, sum(map(store.row_cells.__getitem__, child)))
+def project_vertical(store: HdrStore, parent: Pdr, txns: list[int] | int,
+                     support: int) -> Pdr:
+    """The Pdr of a child ``count_supports`` returned for ``parent``: a list
+    as it is, a mask with its support as its population. The store and the
+    parent go unread; the benchmark's span recorder (perfbench/spans.py)
+    tells root projections from scan projections by them."""
+    return Pdr(txns if isinstance(txns, list) else TidMask(txns, support))
 
 
-def verify_counts(store: HdrStore, pdr: Pdr, tail) -> bool:
+def verify_counts(store: HdrStore, pdr: Pdr, tail,
+                  children: list[tuple[int, int, list[int] | int | None]] = ()) -> bool:
     """Debug oracle: recompute tail supports three independent ways (a
     rescan of the rows the horizontal kernel reads, per-item transaction
     lists, AND and popcount of the item masks) and check that every item's
     transaction list is strictly ascending, that the Pdr's stored size
-    matches its transactions and, when the Pdr carries delivered lists,
-    that each one is exactly the Pdr's transactions whose rows hold its
-    item. True only if everything agrees. Slow by design; never used on the
-    mining hot path."""
+    matches its transactions and that each of ``children``, as
+    ``count_supports`` returns them, is in tail order with its item's
+    support and, as a list or a mask, exactly the Pdr's transactions whose
+    rows hold its item (None only below the database's prune minsup).
+    True only if everything agrees. Slow by design; never used on the mining
+    hot path."""
     rows, tail_set = store.db.transactions, set(tail)
     txns = list(pdr.txns)
     in_pdr = set(txns)
@@ -283,7 +272,14 @@ def verify_counts(store: HdrStore, pdr: Pdr, tail) -> bool:
         masked = {y: (pdr_mask & store.tidmask(y)).bit_count() for y in tail}
     except IndexError:
         return False
-    for y, occurrences in enumerate(pdr.delivered or ()):
-        if occurrences is not None and occurrences != [t for t in txns if y in rows[t]]:
+    if children and [y for y, _, _ in children] != list(tail):
+        return False
+    for y, support, child in children:
+        expected = [t for t in txns if y in rows[t]]
+        if isinstance(child, int):
+            expected = _mask_of(expected, store.txn_count)
+        elif child is None and support < store.db.minsup:
+            expected = None
+        if child != expected or support != raw[y]:
             return False
     return raw == listed == masked

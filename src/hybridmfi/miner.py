@@ -3,16 +3,19 @@
 Itemsets travel through the engine as integer bitmasks over item ranks;
 iterating a mined MfiStore yields rank sets. Each search node carries a head
 (the itemset mined so far), an ordered tail of candidate extensions, and its
-Pdr projection. Three prunes cut the tree: parent-equivalence (tail items
-whose support matches the head's move straight into the head), a look-ahead
-that abandons siblings once the leftmost subtree proves the node's entire
-head∪tail frequent, and subsumption (a node whose head∪tail already sits
-inside a known maximal set is dismissed before any counting). The MFI store
-is a vertical bitmap, one mask of store positions per item, so a superset
-query ANDs the position masks of the query's items. Subsumption reads
-node-local LMFI views of the store: position masks of the maximal sets that
-contain the node's branch items. Tails are re-sorted by ascending support at
-every node so the most constrained branches run first.
+Pdr projection. One counting call per node returns every child's support
+and transactions; the node's frame keeps those of the children it branches
+on, so entering a child does no further counting or intersection. Three
+prunes cut the tree: parent-equivalence (tail items whose support matches
+the head's move straight into the head), a look-ahead that abandons
+siblings once the leftmost subtree proves the node's entire head∪tail
+frequent, and subsumption (a node whose head∪tail already sits inside a
+known maximal set is dismissed before any counting). The MFI store is a
+vertical bitmap, one mask of store positions per item, so a superset query
+ANDs the position masks of the query's items. Subsumption reads node-local
+LMFI views of the store: position masks of the maximal sets that contain
+the node's branch items. Tails are re-sorted by ascending support at every
+node so the most constrained branches run first.
 
 Recursion is an explicit stack with one frame per branching node, so tail
 depth is bounded by memory and not the interpreter's call limit. The mined
@@ -193,18 +196,18 @@ def mine_mfi(
         # True/False when the node finishes at once, telling whether
         # head∪tail is known frequent (and covered); None once it has
         # pushed a frame for its children.
-        children: list[tuple[int, int]] = []
+        # (item, support, transactions) of each child to branch on
+        children: list[tuple[int, int, list[int] | int]] = []
         all_frequent = True
         if tail:
-            counts = count_supports(store, pdr, tail, mode, counters)
-            for x in tail:
-                s = counts[x]
+            for child in count_supports(store, pdr, tail, mode, counters):
+                x, s, _ = child
                 if s < minsup:
                     all_frequent = False
                 elif use_pep and s == head_support:
                     head |= 1 << x
                 else:
-                    children.append((x, s))
+                    children.append(child)
         if not children:
             if head:
                 mfi.add(head, head_support)
@@ -238,7 +241,7 @@ def mine_mfi(
                 continue
         frame[5] = i + 1
         nodes += 1
-        x, x_support = children[i]
+        x, x_support, child_txns = children[i]
         child_head = head | (1 << x)
         suffix_mask = suffix[i]
         child_view = view.project(x)
@@ -246,7 +249,7 @@ def mine_mfi(
             proved = True  # generated, dismissed before any counting
             continue
         tail = [entry[0] for entry in children[i + 1:]]
-        child_pdr = project_vertical(store, pdr, x)
+        child_pdr = project_vertical(store, pdr, child_txns, x_support)
         proved = enter(child_head, x_support, tail, child_pdr, child_view)
 
     if stats is not None:

@@ -42,8 +42,14 @@ def test_sampled_nodes_runs_on_a_tiny_database():
     rows = db.transactions
     for txns, tail in nodes:
         assert 0 < len(txns) < store.txn_count and txns == sorted(set(txns))
-        # Each node is timed horizontally as a list and by bitmap as a mask.
-        cells = sum(len(rows[t]) for t in txns)
+        # Each node is timed horizontally as a list and by bitmap as a mask;
+        # both return the same supports and the same children, but for the
+        # masks of children below the prune minsup, which are dropped.
         mask = Pdr(TidMask(_mask_of(txns, store.txn_count), len(txns)))
-        assert count_supports(store, Pdr(txns, cells), tail, CountMode.HORIZONTAL) == \
-            count_supports(store, mask, tail, CountMode.BITMAP)
+        horizontal = count_supports(store, Pdr(txns), tail, CountMode.HORIZONTAL)
+        bitmap = count_supports(store, mask, tail, CountMode.BITMAP)
+        assert [(y, s) for y, s, _ in horizontal] == [(y, s) for y, s, _ in bitmap]
+        for (y, _, child), (_, _, child_mask) in zip(horizontal, bitmap):
+            assert child == [t for t in txns if y in rows[t]]
+            assert child_mask == (_mask_of(child, store.txn_count)
+                                  if len(child) >= db.minsup else None)

@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +20,8 @@ from hybridmfi import (
     select_mode,
     verify_counts,
 )
+from hybridmfi import hdr
+from hybridmfi.hdr import _mask_of
 
 
 def clone_store(store):
@@ -28,6 +32,18 @@ def clone_store(store):
         [list(txns) for txns in store.item_txns],
         list(store.item_tidmask),
     )
+
+
+def supports(children):
+    """{item: support} of a count_supports result."""
+    return {y: support for y, support, _ in children}
+
+
+def project(store, parent, y, mode=CountMode.HORIZONTAL):
+    """The child of ``parent`` on item y, as mine_mfi builds it: the
+    transactions a count of the parent over a tail holding y returned."""
+    [(_, support, txns)] = count_supports(store, parent, [y], mode)
+    return project_vertical(store, parent, txns, support)
 
 
 def test_build_vertical_chain(tiny_ms2):
@@ -84,40 +100,54 @@ def test_build_empty_database():
     store = build_hdr(db)
     assert store.cell_count == 0
     assert store.root_pdr().txns == []
-    assert store.root_pdr().cells == 0
+    assert count_supports(store, store.root_pdr(), []) == []
 
 
 def test_select_mode_examples():
+    # select_mode reads the store's size and, for a list Pdr, the row
+    # lengths of the Pdr's own transactions.
+    def store(txn_count, cells_of_first_rows=0, first_rows=0):
+        return SimpleNamespace(txn_count=txn_count,
+                               row_cells=[cells_of_first_rows] * first_rows
+                               + [1] * (txn_count - first_rows))
+
     # A Pdr that holds every transaction reads the item lists, whatever its
     # cells and tail.
-    assert select_mode(Pdr(list(range(5)), 11), 1, 5) is CountMode.HORIZONTAL
-    # 10 of 10,000 rows under a 500-item tail: scan the 30 cells.
-    assert select_mode(Pdr(list(range(10)), 30), 500, 10_000) is CountMode.HORIZONTAL
+    assert select_mode(store(5, 100, 5), Pdr(list(range(5))), 1) is CountMode.HORIZONTAL
+    # 10 of 10,000 rows under a 500-item tail: scan the 30 cells...
+    assert select_mode(store(10_000, 3, 10), Pdr(list(range(10))), 500) is \
+        CountMode.HORIZONTAL
+    # ...unless those 10 rows hold 30,000 cells: 500 ANDs cost less.
+    assert select_mode(store(10_000, 3_000, 10), Pdr(list(range(10))), 500) is \
+        CountMode.BITMAP
     # 1,000 of 5,000 rows and 25,000 cells under a 10-item tail: ten ANDs
     # beat the scan even after building the node's mask.
-    assert select_mode(Pdr(list(range(1000)), 25_000), 10, 5_000) is CountMode.BITMAP
+    assert select_mode(store(5_000, 25, 1_000), Pdr(list(range(1000))), 10) is \
+        CountMode.BITMAP
     # A mask Pdr stays a mask: bitmap, even where its rows as a list would
     # be scanned (20 rows under a 50-item tail), and even holding every row.
-    narrow = TidMask((1 << 20) - 1, 20)
-    assert select_mode(Pdr(list(range(20)), 100), 50, 100_000) is CountMode.HORIZONTAL
-    assert select_mode(Pdr(narrow), 50, 100_000) is CountMode.BITMAP
-    assert select_mode(Pdr(TidMask(0b11111, 5)), 1, 5) is CountMode.BITMAP
+    wide = store(100_000, 5, 20)
+    assert select_mode(wide, Pdr(list(range(20))), 50) is CountMode.HORIZONTAL
+    assert select_mode(wide, Pdr(TidMask((1 << 20) - 1, 20)), 50) is CountMode.BITMAP
+    assert select_mode(store(5), Pdr(TidMask(0b11111, 5)), 1) is CountMode.BITMAP
 
 
 def test_auto_counts_dense_root_children_as_masks():
     # The ROADMAP dense database: every child of the root, counted under the
     # tail the miner gives it, is cheaper as one AND per tail item than as a
-    # scan of ~25-cell rows, so AUTO leaves each one a mask.
+    # scan of ~25-cell rows, so AUTO returns each one's children as masks
+    # (None for those below the prune minsup).
     db, _ = prune_and_remap(gen_sparse(5000, 80, 25, 3), 350)
     store = build_hdr(db)
     root = store.root_pdr()
-    counts = count_supports(store, root, list(range(db.item_count)))
-    assert isinstance(root.txns, list) and root.delivered is store.item_txns
-    children = [y for _, y in sorted((s, y) for y, s in counts.items())]
-    for i, y in enumerate(children[:-1]):
-        child = project_vertical(store, root, y)
-        count_supports(store, child, children[i + 1:])
-        assert isinstance(child.txns, TidMask), y
+    counted = count_supports(store, root, list(range(db.item_count)))
+    assert all(txns is store.item_txns[y] for y, _, txns in counted)
+    counted.sort(key=lambda entry: (entry[1], entry[0]))
+    for i, (y, support, txns) in enumerate(counted[:-1]):
+        child = project_vertical(store, root, txns, support)
+        grand = count_supports(store, child, [entry[0] for entry in counted[i + 1:]])
+        assert all(type(g) is int if s >= 350 else g is None for _, s, g in grand), y
+        assert child.txns is txns
 
 
 def test_auto_counts_a_small_node_under_a_long_tail_as_a_list():
@@ -129,62 +159,73 @@ def test_auto_counts_a_small_node_under_a_long_tail_as_a_list():
     )
     db, _ = prune_and_remap(parse_fimi(text), 1)
     store = build_hdr(db)
-    node = project_vertical(store, store.root_pdr(), 0)
+    node = project(store, store.root_pdr(), 0)
     tail = list(range(1, db.item_count))
-    assert (len(node.txns), node.cells, len(tail)) == (10, 30, 500)
-    count_supports(store, node, tail)
-    assert isinstance(node.txns, list) and node.delivered is not None
+    cells = sum(store.row_cells[t] for t in node.txns)
+    assert (len(node.txns), cells, len(tail)) == (10, 30, 500)
+    children = count_supports(store, node, tail)
+    assert all(type(txns) is list for _, _, txns in children)
+    assert sum(map(len, (txns for _, _, txns in children))) == cells - 10
 
 
 def test_count_root_horizontal_cost(tiny_ms1):
     _, _, store = tiny_ms1
     counters = CostCounters()
-    counts = count_supports(store, store.root_pdr(), list(range(5)),
-                            CountMode.HORIZONTAL, counters)
-    assert counts == {0: 3, 1: 2, 2: 4, 3: 1, 4: 1}
+    children = count_supports(store, store.root_pdr(), list(range(5)),
+                              CountMode.HORIZONTAL, counters)
+    assert [y for y, _, _ in children] == list(range(5))
+    assert supports(children) == {0: 3, 1: 2, 2: 4, 3: 1, 4: 1}
     assert counters.cells_touched == 11
 
 
 def test_count_root_bitmap_cost(tiny_ms1):
-    # The bitmap kernel bills the set bits it pulls out, the same 11
-    # occurrences the horizontal kernel counts.
+    # The bitmap kernel bills its popcounts, the same 11 occurrences the
+    # horizontal kernel counts.
     _, _, store = tiny_ms1
     counters = CostCounters()
-    counts = count_supports(store, store.root_pdr(), list(range(5)),
-                            CountMode.BITMAP, counters)
-    assert counts == {0: 3, 1: 2, 2: 4, 3: 1, 4: 1}
+    children = count_supports(store, store.root_pdr(), list(range(5)),
+                              CountMode.BITMAP, counters)
+    assert [y for y, _, _ in children] == list(range(5))
+    assert supports(children) == {0: 3, 1: 2, 2: 4, 3: 1, 4: 1}
     assert counters.cells_touched == 11
 
 
 def test_count_node_after_projection(tiny_ms2):
+    # The database was pruned at minsup 2, so a bitmap count returns no mask
+    # for the support-1 child; it still counts and bills it. A horizontal
+    # count returns every list its scan delivered.
     _, _, store = tiny_ms2
-    pdr = project_vertical(store, store.root_pdr(), 0)
+    pdr = project(store, store.root_pdr(), 0)
     assert pdr.txns == [0, 2, 4]
-    counts = count_supports(store, pdr, [1, 2], CountMode.HORIZONTAL)
-    assert counts == {1: 1, 2: 2}
-    assert counts == count_supports(store, pdr, [1, 2], CountMode.BITMAP)
+    horizontal = count_supports(store, pdr, [1, 2], CountMode.HORIZONTAL)
+    counters = CostCounters()
+    bitmap = count_supports(store, pdr, [1, 2], CountMode.BITMAP, counters)
+    assert supports(horizontal) == supports(bitmap) == {1: 1, 2: 2}
+    assert [txns for _, _, txns in horizontal] == [[0], [2, 4]]
+    assert [txns for _, _, txns in bitmap] == [None, 0b10100]
+    assert counters.cells_touched == 3
 
 
 def test_count_auto_resolves_per_call(tiny_ms1):
-    # The form a count leaves on the Pdr tells the mode AUTO picked.
+    # The form of the children a count returns tells the mode AUTO picked.
     _, _, store = tiny_ms1
     counters = CostCounters()
     root = store.root_pdr()
-    count_supports(store, root, list(range(5)), CountMode.AUTO, counters)
+    children = count_supports(store, root, list(range(5)), CountMode.AUTO, counters)
     # The root holds every transaction: counted horizontally, from the item
     # lists. Either mode bills 11.
-    assert isinstance(root.txns, list) and root.delivered is store.item_txns
+    assert all(txns is store.item_txns[y] for y, _, txns in children)
     assert counters.cells_touched == 11
     # A mask child and its own children are counted by bitmap, whatever
     # the tail.
-    count_supports(store, root, list(range(5)), CountMode.BITMAP)
-    child = project_vertical(store, root, 2)
-    assert count_supports(store, child, [0, 1, 3, 4], CountMode.AUTO, counters) == \
-        {0: 2, 1: 1, 3: 0, 4: 1}
-    grand = project_vertical(store, child, 0)
-    assert count_supports(store, grand, [4], CountMode.AUTO, counters) == {4: 1}
+    child = project(store, root, 2, CountMode.BITMAP)
+    children = count_supports(store, child, [0, 1, 3, 4], CountMode.AUTO, counters)
+    assert supports(children) == {0: 2, 1: 1, 3: 0, 4: 1}
+    _, support, txns = children[0]
+    grand = project_vertical(store, child, txns, support)
+    children = count_supports(store, grand, [4], CountMode.AUTO, counters)
+    assert supports(children) == {4: 1} and type(children[0][2]) is int
     assert isinstance(child.txns, TidMask) and isinstance(grand.txns, TidMask)
-    assert child.delivered is grand.delivered is None
     assert counters.cells_touched == 11 + 4 + 1
 
 
@@ -193,11 +234,11 @@ def test_count_horizontal_rejects_a_mask(tiny_ms1):
     # names the mode to use instead.
     _, _, store = tiny_ms1
     root = store.root_pdr()
-    count_supports(store, root, list(range(5)), CountMode.BITMAP)
-    for pdr in (root, project_vertical(store, root, 2)):
+    for pdr in (Pdr(TidMask(0b11111, 5)), project(store, root, 2, CountMode.BITMAP)):
+        txns = pdr.txns
         with pytest.raises(ValueError, match="count it in bitmap or auto mode"):
             count_supports(store, pdr, [0, 1], CountMode.HORIZONTAL)
-        assert isinstance(pdr.txns, TidMask) and pdr.delivered is None
+        assert pdr.txns is txns
 
 
 def test_counters_accumulate(tiny_ms1):
@@ -212,73 +253,80 @@ def test_project_from_root_uses_ascending_txns(tiny_ms2):
     # A root child shares its item's list; a deeper list child shares the
     # list its parent's horizontal count delivered. Nothing is copied.
     _, _, store = tiny_ms2
-    child = project_vertical(store, store.root_pdr(), 0)
+    child = project(store, store.root_pdr(), 0)
     assert child.txns == [0, 2, 4] and child.txns is store.item_txns[0]
-    count_supports(store, child, [1, 2], CountMode.HORIZONTAL)
-    grand = project_vertical(store, child, 2)
-    assert grand.txns == [2, 4] and grand.txns is child.delivered[2]
-    assert grand.cells == 4
+    (_, _, first), (_, support, second) = count_supports(store, child, [1, 2],
+                                                         CountMode.HORIZONTAL)
+    grand = project_vertical(store, child, second, support)
+    assert grand.txns == [2, 4] and grand.txns is second and first == [0]
 
 
 def test_project_absent_item_gives_empty(tiny_ms1):
     _, _, store = tiny_ms1
-    node_d = project_vertical(store, store.root_pdr(), 3)
+    node_d = project(store, store.root_pdr(), 3)
     assert node_d.txns == [0]
-    count_supports(store, node_d, [4], CountMode.HORIZONTAL)
-    empty = project_vertical(store, node_d, 4)
-    assert empty.txns == [] and empty.cells == 0
+    empty = project(store, node_d, 4)
+    assert empty.txns == []
+    # No mine branches on an empty child, so a bitmap count keeps no mask.
+    assert count_supports(store, node_d, [4], CountMode.BITMAP) == [(4, 0, None)]
 
 
-def test_project_cells_counts_child_row_cells(tiny_ms1):
-    # A list-born child's cells are its rows' summed lengths; a mask-born
-    # child carries none, since nothing counts it horizontally.
+def test_project_cells_counts_child_row_cells(monkeypatch, tiny_ms1):
+    # select_mode weighs a list child by its rows' summed lengths and never
+    # weighs a mask child. With a scan costing 1 per cell and a bitmap
+    # count a flat 8 or 9, the switch sits exactly on the child's 8 cells.
     db, _, store = tiny_ms1
     root = store.root_pdr()
-    child = project_vertical(store, root, 0)
-    assert child.txns == [0, 2, 4]
-    assert child.cells == sum(len(db.transactions[t]) for t in child.txns) == 3 + 3 + 2
-    count_supports(store, root, list(range(5)), CountMode.BITMAP)
-    masked = project_vertical(store, root, 0)
-    assert isinstance(masked.txns, TidMask) and list(masked.txns) == [0, 2, 4]
-    assert masked.cells is None
+    child = project(store, root, 0)
+    masked = project(store, root, 0, CountMode.BITMAP)
+    assert child.txns == [0, 2, 4] == list(masked.txns)
+    assert sum(len(db.transactions[t]) for t in child.txns) == 3 + 3 + 2
+    monkeypatch.setattr(hdr, "_HORIZONTAL_NS", (0.0, 1.0, 0.0))
+    monkeypatch.setattr(hdr, "_BUILD_NS", (0.0, 0.0))
+    for flat, mode in ((9.0, CountMode.HORIZONTAL), (8.0, CountMode.BITMAP)):
+        monkeypatch.setattr(hdr, "_BITMAP_NS", (flat, 0.0, 0.0))
+        assert select_mode(store, child, 2) is mode
+        assert select_mode(store, masked, 2) is CountMode.BITMAP
 
 
 def test_project_leaves_parent_untouched(tiny_ms2):
+    # Neither a count nor a projection changes the Pdr it reads, in either
+    # mode; a bitmap count's children are masks (None below the prune
+    # minsup, 2) and a horizontal count's are lists. A Pdr cannot be
+    # assigned to at all.
     _, _, store = tiny_ms2
-    for mode in (CountMode.HORIZONTAL, CountMode.BITMAP):
-        parent = project_vertical(store, store.root_pdr(), 2)
-        count_supports(store, parent, [0, 1], mode)
-        delivered = parent.delivered and [None if d is None else list(d) for d in parent.delivered]
-        before = (list(parent.txns), parent.cells, delivered)
-        project_vertical(store, parent, 0)
-        assert (list(parent.txns), parent.cells, parent.delivered) == before
-
-
-def test_project_vertical_needs_a_counted_list_parent(tiny_ms2):
-    _, _, store = tiny_ms2
-    child = project_vertical(store, store.root_pdr(), 0)
-    with pytest.raises(ValueError, match="count the parent horizontally"):
-        project_vertical(store, child, 2)
-    count_supports(store, child, [1], CountMode.HORIZONTAL)
-    with pytest.raises(ValueError, match="count the parent horizontally"):
-        project_vertical(store, child, 2)  # 2 was not in the counted tail
-    count_supports(store, child, [1, 2], CountMode.HORIZONTAL)
-    assert project_vertical(store, child, 2).txns == [2, 4]
+    for mode, kinds in ((CountMode.HORIZONTAL, [list, list]),
+                        (CountMode.BITMAP, [int, type(None)])):
+        parent = project(store, store.root_pdr(), 2)
+        txns = parent.txns
+        before = list(txns)
+        children = count_supports(store, parent, [0, 1], mode)
+        assert [type(child) for _, _, child in children] == kinds
+        for _, support, child in children:
+            if child is not None:
+                project_vertical(store, parent, child, support)
+        assert parent.txns is txns and txns == before == [1, 2, 3, 4]
+        assert parent == Pdr(before)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        parent.txns = []
 
 
 def test_root_pdr_cells_is_cell_count(tiny_ms1):
+    # The root holds every transaction, so its rows are every cell.
     _, _, store = tiny_ms1
     root = store.root_pdr()
-    assert root.cells == store.cell_count == 11
-    assert root.delivered is None
+    assert root.txns == list(range(store.txn_count))
+    assert sum(store.row_cells[t] for t in root.txns) == store.cell_count == 11
+    assert [field.name for field in dataclasses.fields(root)] == ["txns"]
 
 
 def test_mode_independence_on_random_nodes():
-    # Every node is counted both ways: horizontally as a list and by bitmap
-    # as a mask, one of them on a list copy. At odd steps a list node keeps
-    # its list and the copy is counted by bitmap, so it has list-born
-    # children; otherwise the node is counted by bitmap itself, becomes a
-    # mask and has mask-born children, and so does its whole subtree.
+    # Every node is counted both ways: horizontally as a list and by bitmap,
+    # one of them on a list copy, and both return the same supports and the
+    # same children, but that a bitmap count keeps no mask below the prune
+    # minsup. At odd steps a list node descends to a horizontal count's
+    # list child; otherwise it descends to a bitmap count's mask child, and
+    # so does its whole subtree.
     rng = random.Random(17)
     born = set()
     for seed in range(15):
@@ -294,43 +342,50 @@ def test_mode_independence_on_random_nodes():
             expected = [t for t, row in enumerate(rows) if path <= row]
             assert list(pdr.txns) == expected
             assert len(pdr.txns) == len(expected)
-            if isinstance(pdr.txns, list):
-                assert pdr.cells == sum(len(rows[t]) for t in expected)
             if not tail or not expected:
                 break
-            copied = Pdr(list(pdr.txns), sum(len(rows[t]) for t in expected))
+            copied = Pdr(list(pdr.txns))
             keep_list = isinstance(pdr.txns, list) and step % 2
+            txns = pdr.txns
             horizontal = count_supports(store, pdr if keep_list else copied, tail,
                                         CountMode.HORIZONTAL)
             bitmap = count_supports(store, copied if keep_list else pdr, tail,
                                     CountMode.BITMAP)
-            assert horizontal == bitmap == {y: sum(y in rows[t] for t in expected) for y in tail}
-            y = rng.choice(tail)
+            assert pdr.txns is txns
+            for (y, s, lst), (z, u, mask) in zip(horizontal, bitmap):
+                child = [t for t in expected if y in rows[t]]
+                assert (y, s, lst) == (z, u, child)
+                assert mask == (_mask_of(child, len(rows)) if s >= 2 else None)
+            assert [y for y, _, _ in horizontal] == tail
+            choices = [c for c in (horizontal if keep_list else bitmap) if c[2] is not None]
+            if not choices:
+                break
+            y, s, child = rng.choice(choices)
             tail = [x for x in tail if x != y]
             path.add(y)
-            pdr = project_vertical(store, pdr, y)
+            pdr = project_vertical(store, pdr, child, s)
             born.add(type(pdr.txns))
             step += 1
     assert born == {list, TidMask}
 
 
 def test_projection_support_identity():
-    # |project(pdr, y).txns| equals the support count_supports reports for y.
-    rng = random.Random(23)
+    # A projected child's size equals the support count_supports reports
+    # for it.
     for seed in range(10):
         raw = gen_sparse(40, 10, 3, seed)
         db, _ = prune_and_remap(raw, 1)
         store = build_hdr(db)
         pdr = store.root_pdr()
         tail = list(range(db.item_count))
-        counts = count_supports(store, pdr, tail, CountMode.BITMAP)
-        for y in tail:
-            child = project_vertical(store, pdr, y)
+        for y, support, txns in count_supports(store, pdr, tail, CountMode.BITMAP):
+            child = project_vertical(store, pdr, txns, support)
             # The root was counted in bitmap mode, so the child is a mask.
-            txns = list(child.txns)
-            assert len(child.txns) == counts[y]
-            assert txns == sorted(set(txns))
-            assert set(txns) <= set(pdr.txns)
+            assert isinstance(child.txns, TidMask)
+            listed = list(child.txns)
+            assert len(child.txns) == support == len(listed)
+            assert listed == sorted(set(listed))
+            assert set(listed) <= set(pdr.txns)
 
 
 def test_cost_model_bounds():
@@ -343,33 +398,37 @@ def test_cost_model_bounds():
         root = store.root_pdr()
         tail = list(range(db.item_count))
         nodes = [(root, tail)] + [
-            (project_vertical(store, root, y), tail[i + 1:]) for i, y in enumerate(tail)
+            (project(store, root, y), tail[i + 1:]) for i, y in enumerate(tail)
         ]
         for pdr, node_tail in nodes:
             billed = []
             for mode in (CountMode.HORIZONTAL, CountMode.BITMAP):
                 counters = CostCounters()
-                counts = count_supports(store, pdr, node_tail, mode, counters)
-                assert counters.cells_touched == sum(counts.values())
+                children = count_supports(store, pdr, node_tail, mode, counters)
+                assert counters.cells_touched == sum(supports(children).values())
                 billed.append(counters.cells_touched)
             assert billed[0] == billed[1] <= store.cell_count
 
 
 def test_verify_counts_on_fresh_stores(tiny_ms1, tiny_ms2):
+    # Without children, and with either mode's children of the root.
     for _, _, store in (tiny_ms1, tiny_ms2):
         assert verify_counts(store, store.root_pdr(), list(range(store.item_count)))
     for seed in range(8):
         db, _ = prune_and_remap(gen_sparse(25, 9, 3, seed), 2)
         store = build_hdr(db)
-        assert verify_counts(store, store.root_pdr(), list(range(db.item_count)))
+        root, tail = store.root_pdr(), list(range(db.item_count))
+        assert verify_counts(store, root, tail)
+        for mode in (CountMode.HORIZONTAL, CountMode.BITMAP):
+            assert verify_counts(store, root, tail, count_supports(store, root, tail, mode))
 
 
 def test_verify_counts_on_projected_node(tiny_ms2):
     _, _, store = tiny_ms2
-    pdr = project_vertical(store, store.root_pdr(), 0)
+    pdr = project(store, store.root_pdr(), 0)
     assert verify_counts(store, pdr, [1, 2])
-    count_supports(store, pdr, [1, 2], CountMode.HORIZONTAL)
-    assert verify_counts(store, pdr, [1, 2])
+    for mode in (CountMode.HORIZONTAL, CountMode.BITMAP):
+        assert verify_counts(store, pdr, [1, 2], count_supports(store, pdr, [1, 2], mode))
 
 
 def test_verify_counts_catches_corrupted_vlink(tiny_ms2):
@@ -394,9 +453,9 @@ def test_verify_counts_catches_wrong_item(tiny_ms2):
     tail = [0, 1, 2]
     # Below the root the horizontal kernel reads the pruned rows, so it now
     # disagrees with the masks; the original store's rows are untouched.
-    node = project_vertical(broken, broken.root_pdr(), 0)  # txns 0, 2, 4
-    assert count_supports(broken, node, [1, 2], CountMode.HORIZONTAL) != \
-        count_supports(broken, node, [1, 2], CountMode.BITMAP)
+    node = project(broken, broken.root_pdr(), 0)  # txns 0, 2, 4
+    assert supports(count_supports(broken, node, [1, 2], CountMode.HORIZONTAL)) != \
+        supports(count_supports(broken, node, [1, 2], CountMode.BITMAP))
     assert verify_counts(store, store.root_pdr(), tail)
     assert not verify_counts(broken, broken.root_pdr(), tail)
     assert not verify_counts(broken, node, [1, 2])
@@ -406,27 +465,34 @@ def test_verify_counts_catches_wrong_bitmap(tiny_ms2):
     # A mask child is checked as a mask: its transactions come from its bits
     # and its size from the stored count, with no list to fall back on.
     _, _, store = tiny_ms2
-    root = store.root_pdr()
-    count_supports(store, root, [0, 1, 2], CountMode.BITMAP)
-    child = project_vertical(store, root, 1)  # label 2: txns 0 and 3
-    assert count_supports(store, child, [2]) == {2: 1}
+    child = project(store, store.root_pdr(), 1, CountMode.BITMAP)  # label 2: txns 0, 3
+    assert supports(count_supports(store, child, [2])) == {2: 1}
     assert isinstance(child.txns, TidMask) and verify_counts(store, child, [2])
-    child.txns = TidMask(child.txns.bits | 1 << 1, child.txns.size)  # claims txn 1
-    assert not verify_counts(store, child, [2])
-    child.txns = TidMask(0b1001, 3)  # the right bits, a wrong stored size
-    assert not verify_counts(store, child, [2])
+    claims_txn_1 = Pdr(TidMask(child.txns.bits | 1 << 1, child.txns.size))
+    assert not verify_counts(store, claims_txn_1, [2])
+    wrong_size = Pdr(TidMask(0b1001, 3))  # the right bits, a wrong stored size
+    assert not verify_counts(store, wrong_size, [2])
 
 
 def test_verify_counts_catches_wrong_delivered_list(tiny_ms2):
+    # Each child count_supports returns is checked against a rescan of the
+    # rows: a list or a mask short of one transaction, a wrong support or
+    # children out of tail order fail, while the rows, item lists and
+    # masks still agree.
     _, _, store = tiny_ms2
     tail = [0, 1]
-    child = project_vertical(store, store.root_pdr(), 2)  # label 3: txns 1-4
-    count_supports(store, child, tail, CountMode.HORIZONTAL)
-    assert child.delivered[0] == [2, 4]
-    assert verify_counts(store, child, tail)
-    # Drop one transaction; the rows, item lists and masks still agree.
-    child.delivered[0] = child.delivered[0][1:]
-    assert not verify_counts(store, child, tail)
+    child = project(store, store.root_pdr(), 2)  # label 3: txns 1-4
+    for mode in (CountMode.HORIZONTAL, CountMode.BITMAP):
+        children = count_supports(store, child, tail, mode)
+        assert verify_counts(store, child, tail, children)
+        (y, support, txns), second = children
+        assert (y, support, list(project_vertical(store, child, txns, support).txns)) == \
+            (0, 2, [2, 4])
+        dropped = txns[1:] if mode is CountMode.HORIZONTAL else txns & ~(1 << 2)
+        assert not verify_counts(store, child, tail, [(y, support, dropped), second])
+        assert not verify_counts(store, child, tail, [(y, support + 1, txns), second])
+        assert not verify_counts(store, child, tail, [(y, support, None), second])
+        assert not verify_counts(store, child, tail, [second, (y, support, txns)])
 
 
 def test_verify_counts_catches_wrong_tidmask(tiny_ms2):
@@ -435,7 +501,7 @@ def test_verify_counts_catches_wrong_tidmask(tiny_ms2):
     count_supports(store, store.root_pdr(), tail, CountMode.BITMAP)  # builds the masks
     broken = clone_store(store)
     broken.item_tidmask[1] |= 1 << 2  # label 2 claims txn 2, which lacks it
-    assert count_supports(broken, broken.root_pdr(), tail, CountMode.BITMAP) != \
-        count_supports(broken, broken.root_pdr(), tail, CountMode.HORIZONTAL)
+    assert supports(count_supports(broken, broken.root_pdr(), tail, CountMode.BITMAP)) != \
+        supports(count_supports(broken, broken.root_pdr(), tail, CountMode.HORIZONTAL))
     assert verify_counts(store, store.root_pdr(), tail)
     assert not verify_counts(broken, broken.root_pdr(), tail)

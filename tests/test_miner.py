@@ -118,8 +118,10 @@ def test_pep_absorbs_whole_tail():
 
 def test_pep_containment_property():
     # Whenever an extension's support equals the head's, every projected
-    # transaction contains it.
+    # transaction contains it, and the extension's child holds exactly the
+    # head's transactions, in either counting mode.
     from hybridmfi import count_supports, project_vertical
+    from hybridmfi.hdr import _mask_of
 
     for seed in range(10):
         db, _ = prune_and_remap(gen_sparse(30, 8, 3, seed), 2)
@@ -128,14 +130,17 @@ def test_pep_containment_property():
         store = build_hdr(db)
         root = store.root_pdr()
         tail = list(range(db.item_count))
-        y = tail[0]
+        y, y_support, y_txns = count_supports(store, root, tail, CountMode.HORIZONTAL)[0]
+        pdr = project_vertical(store, root, y_txns, y_support)
         rest = tail[1:]
-        pdr = project_vertical(store, root, y)
-        counts = count_supports(store, pdr, rest, CountMode.BITMAP)
         head_support = len(pdr.txns)
-        for x, s in counts.items():
-            if s == head_support:
-                assert all(x in db.transactions[t] for t in pdr.txns)
+        mask = _mask_of(pdr.txns, store.txn_count)
+        for mode, same in ((CountMode.HORIZONTAL, pdr.txns), (CountMode.BITMAP, mask)):
+            for x, s, child in count_supports(store, pdr, rest, mode):
+                if s == head_support:
+                    assert all(x in db.transactions[t] for t in pdr.txns)
+                    assert child == same
+        assert pdr.txns is y_txns  # neither count changed the Pdr
 
 
 def test_reorder_explores_ascending_support_first():

@@ -115,7 +115,7 @@ def main() -> None:
             cells = sum(len(rows[t]) for t in txns)
             mask = TidMask(_mask_of(txns, n), len(txns))
             record("horizontal", (1, cells, len(tail)), best_ns(
-                lambda: count_supports(store, Pdr(txns, cells), tail, CountMode.HORIZONTAL)))
+                lambda: count_supports(store, Pdr(txns), tail, CountMode.HORIZONTAL)))
             record("bitmap", (1, len(tail), len(tail) * n), best_ns(
                 lambda: count_supports(store, Pdr(mask), tail, CountMode.BITMAP)))
             record("build", (n, len(txns)), best_ns(lambda: _mask_of(txns, n)))
