@@ -1,9 +1,12 @@
 """Transaction database loading, pruning, and synthesis.
 
-Databases are plain lists of item lists. A :class:`RawDatabase` carries item
-labels exactly as read from disk; mining operates on a rank-remapped
-:class:`TransactionDatabase` where the surviving frequent items form the dense
-range ``[0, item_count)`` and ranks preserve ascending label order.
+A database is a list of rows, each an immutable ascending tuple of ints.
+Cells share their ints (the parser converts each distinct token once, and a
+rank is one int per item), so a cell costs one pointer and not an int object
+of its own. A :class:`RawDatabase` carries item labels exactly as read from
+disk; mining operates on a rank-remapped :class:`TransactionDatabase` where
+the surviving frequent items form the dense range ``[0, item_count)`` and
+ranks preserve ascending label order.
 """
 
 from __future__ import annotations
@@ -15,6 +18,10 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 
 _MAX_LABEL = 0xFFFFFFFF
+
+# The bytes a FIMI file may hold: ASCII digits and the ASCII whitespace that
+# bytes.split() and bytes.splitlines() break on.
+_FIMI_BYTES = b"0123456789 \t\n\r\x0b\x0c"
 
 # Popularity weight of the rank-k item in generated data: (k+1) ** -_GEN_SKEW.
 _GEN_SKEW = 0.6
@@ -30,13 +37,14 @@ class FimiParseError(ValueError):
 
 @dataclass(frozen=True)
 class RawDatabase:
-    """Transactions as ingested: sorted, deduplicated label lists.
+    """Transactions as ingested: sorted, deduplicated label tuples.
 
-    Immutable by convention after construction. Empty transactions are
-    permitted here; they disappear at the pruning stage.
+    The list is immutable by convention after construction, its rows by
+    type. Empty transactions are permitted here; they disappear at the
+    pruning stage.
     """
 
-    transactions: list[list[int]]
+    transactions: list[tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -56,10 +64,10 @@ class ItemMap:
 @dataclass(frozen=True)
 class TransactionDatabase:
     """Pruned, rank-remapped database. Every transaction is a non-empty
-    ascending rank list and every rank occurs in at least ``minsup``
-    transactions."""
+    ascending rank tuple, every rank one shared int, and every rank occurs
+    in at least ``minsup`` transactions."""
 
-    transactions: list[list[int]]
+    transactions: list[tuple[int, ...]]
     item_count: int
     minsup: int
 
@@ -79,28 +87,40 @@ def parse_fimi(text: str | bytes) -> RawDatabase:
     """Parse FIMI text: one transaction per non-blank line, non-negative
     integer labels written in plain ASCII digits and separated by ASCII
     whitespace. Duplicates within a line collapse; items are sorted
-    ascending."""
+    ascending. Each distinct token is converted once, so every cell written
+    with that token shares one int."""
     if isinstance(text, str):
         text = text.encode("utf-8", "surrogatepass")
-    transactions: list[list[int]] = []
+    transactions: list[tuple[int, ...]] = []
     # The bytes methods are ASCII-only: lines end only at \n or \r, tokens
     # split only on ASCII whitespace, and a label is a run of ASCII digits.
     # The str methods and int() would also take Unicode spaces and line
-    # separators, signs, underscores and non-ASCII digits.
+    # separators, signs, underscores and non-ASCII digits. Lines are checked
+    # one by one only if the buffer holds some other byte, so the first bad
+    # line is still the one reported.
+    check_lines = bool(text.translate(None, _FIMI_BYTES))
+    label_of: dict[bytes, int] = {}
+    lookup = label_of.get
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if not tokens:
             continue
-        if not b"".join(tokens).isdigit():
+        if check_lines and not b"".join(tokens).isdigit():
             bad = next(t for t in tokens if not t.isdigit()).decode("utf-8", "replace")
             raise FimiParseError(line_no, f"token {bad!r} is not an ASCII decimal label")
-        try:
-            txn = sorted(set(map(int, tokens)))
-        except ValueError:  # more digits than int() will convert
-            raise FimiParseError(line_no, "item has too many digits") from None
-        if txn[-1] > _MAX_LABEL:
-            raise FimiParseError(line_no, f"item {txn[-1]} exceeds the 32-bit range")
-        transactions.append(txn)
+        labels = set(map(lookup, tokens))
+        if None in labels:  # a token seen for the first time
+            try:
+                for token in tokens:
+                    if token not in label_of:
+                        label_of[token] = int(token)
+            except ValueError:  # more digits than int() will convert
+                raise FimiParseError(line_no, "item has too many digits") from None
+            labels = set(map(label_of.__getitem__, tokens))
+            top = max(labels)
+            if top > _MAX_LABEL:
+                raise FimiParseError(line_no, f"item {top} exceeds the 32-bit range")
+        transactions.append(tuple(sorted(labels)))
     return RawDatabase(transactions)
 
 
@@ -129,9 +149,10 @@ def prune_and_remap(db: RawDatabase, minsup: int) -> tuple[TransactionDatabase, 
     support = global_supports(db)
     keep = sorted(label for label, count in support.items() if count >= minsup)
     rank_of = {label: rank for rank, label in enumerate(keep)}
-    transactions: list[list[int]] = []
+    kept, rank = rank_of.__contains__, rank_of.__getitem__
+    transactions: list[tuple[int, ...]] = []
     for txn in db.transactions:
-        mapped = [rank_of[x] for x in txn if x in rank_of]
+        mapped = tuple(map(rank, filter(kept, txn)))
         if mapped:
             transactions.append(mapped)
     return TransactionDatabase(transactions, len(keep), minsup), ItemMap(keep)
@@ -173,7 +194,7 @@ def gen_sparse(n_transactions: int, n_items: int, avg_len: int, seed: int) -> Ra
     rng = random.Random(seed)
     labels = list(range(1, n_items + 1))
     cum_weights = list(accumulate((rank + 1) ** -_GEN_SKEW for rank in range(n_items)))
-    transactions: list[list[int]] = []
+    transactions: list[tuple[int, ...]] = []
     for _ in range(n_transactions):
         length = _clamped_poisson(rng, avg_len, n_items)
         chosen: set[int] = set()
@@ -181,5 +202,5 @@ def gen_sparse(n_transactions: int, n_items: int, avg_len: int, seed: int) -> Ra
             chosen.update(
                 rng.choices(labels, cum_weights=cum_weights, k=length - len(chosen))
             )
-        transactions.append(sorted(chosen))
+        transactions.append(tuple(sorted(chosen)))
     return RawDatabase(transactions)

@@ -188,7 +188,8 @@ def mine_mfi(
     use_reorder = config.enable_reorder
 
     # One frame per branching node:
-    # [head, children, suffix masks, pdr, view, next child, all_frequent, first_proved]
+    # [head, children, items of the children not yet entered, pdr, view,
+    #  next child, all_frequent, first_proved]
     stack: list[list] = []
 
     def enter(head: int, head_support: int, tail: list[int], pdr: Pdr,
@@ -216,12 +217,10 @@ def mine_mfi(
             return all_frequent
         if use_reorder:
             children.sort(key=lambda entry: (entry[1], entry[0]))
-        suffix = [0] * len(children)
-        acc = 0
-        for j in range(len(children) - 1, -1, -1):
-            suffix[j] = acc
-            acc |= 1 << children[j][0]
-        stack.append([head, children, suffix, pdr, view, 0, all_frequent, False])
+        later = 0
+        for child in children:
+            later |= 1 << child[0]
+        stack.append([head, children, later, pdr, view, 0, all_frequent, False])
         return None
 
     nodes = 1  # the root; each generated child adds one below
@@ -229,7 +228,7 @@ def mine_mfi(
                    store.root_pdr(), LmfiView(mfi, 0, 0))
     while stack:
         frame = stack[-1]
-        head, children, suffix, pdr, view, i, all_frequent, first_proved = frame
+        head, children, later, pdr, view, i, all_frequent, first_proved = frame
         if proved is not None:  # child i - 1 just finished
             if i == 1:
                 first_proved = frame[7] = proved
@@ -242,10 +241,10 @@ def mine_mfi(
         frame[5] = i + 1
         nodes += 1
         x, x_support, child_txns = children[i]
+        later = frame[2] = later ^ (1 << x)  # the items of children i+1..
         child_head = head | (1 << x)
-        suffix_mask = suffix[i]
         child_view = view.project(x)
-        if use_hutmfi and child_view.covers_mask(child_head | suffix_mask):
+        if use_hutmfi and child_view.covers_mask(child_head | later):
             proved = True  # generated, dismissed before any counting
             continue
         tail = [entry[0] for entry in children[i + 1:]]

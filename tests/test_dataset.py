@@ -16,7 +16,7 @@ from conftest import TINY_DB
 
 
 def test_parse_five_transactions(tiny_raw):
-    assert tiny_raw.transactions == [[1, 2, 4], [3], [1, 3, 5], [2, 3], [1, 3]]
+    assert tiny_raw.transactions == [(1, 2, 4), (3,), (1, 3, 5), (2, 3), (1, 3)]
 
 
 def test_parse_empty_input():
@@ -26,16 +26,16 @@ def test_parse_empty_input():
 
 def test_parse_dedupes_and_sorts():
     raw = parse_fimi("7 7 2\n")
-    assert raw.transactions == [[2, 7]]
+    assert raw.transactions == [(2, 7)]
 
 
 def test_parse_skips_blank_lines():
     raw = parse_fimi("1 2\n\n   \n3\n")
-    assert raw.transactions == [[1, 2], [3]]
+    assert raw.transactions == [(1, 2), (3,)]
 
 
 def test_parse_accepts_bytes():
-    assert parse_fimi(b"1 2\n").transactions == [[1, 2]]
+    assert parse_fimi(b"1 2\n").transactions == [(1, 2)]
 
 
 @pytest.mark.parametrize(
@@ -64,6 +64,48 @@ def test_parse_rejects_negative_item():
         parse_fimi("1 -3\n")
 
 
+@pytest.mark.parametrize("byte", range(256))
+def test_parse_separator_bytes_match_bytes_split(byte):
+    # Pins the buffer-wide pre-check's byte set to what bytes.split() and
+    # bytes.splitlines() break on: ASCII whitespace separates labels (\n and
+    # \r end the line), a digit joins the two labels, and every other byte
+    # is a bad token on line 1.
+    text = b"1" + bytes([byte]) + b"2\n"
+    if bytes([byte]).isspace():
+        rows = [(1,), (2,)] if byte in b"\n\r" else [(1, 2)]
+        assert parse_fimi(text).transactions == rows
+    elif bytes([byte]).isdigit():
+        assert parse_fimi(text).transactions == [(int(text),)]
+    else:
+        with pytest.raises(FimiParseError) as exc:
+            parse_fimi(text)
+        assert exc.value.line_no == 1
+
+
+def test_parse_reports_first_bad_line_across_error_kinds():
+    # An overflow on line 2 comes before a bad byte on line 3, although the
+    # bad byte is what makes the parser check each line.
+    with pytest.raises(FimiParseError) as exc:
+        parse_fimi(f"1 2\n3 {2**32}\n4 x\n")
+    assert exc.value.line_no == 2
+    assert "32-bit" in str(exc.value)
+
+
+def test_parse_too_many_digits_at_its_own_line():
+    text = "1 2\n3\n" + "4 " + "9" * 5000 + "\n5\n"
+    with pytest.raises(FimiParseError) as exc:
+        parse_fimi(text)
+    assert exc.value.line_no == 3
+    assert "too many digits" in str(exc.value)
+
+
+def test_parse_shares_one_int_per_label():
+    raw = parse_fimi(to_fimi(gen_sparse(500, 900, 6, 4)))
+    cells = [x for txn in raw.transactions for x in txn]
+    assert max(cells) > 256  # above CPython's small-int cache
+    assert len({id(x) for x in cells}) == len(set(cells))
+
+
 def test_parse_rejects_overflowing_item():
     parse_fimi(f"{2**32 - 1}\n")  # the boundary itself is fine
     with pytest.raises(FimiParseError) as exc:
@@ -89,10 +131,10 @@ def test_global_supports_repeated_singleton():
 def test_prune_minsup2(tiny_raw):
     db, item_map = prune_and_remap(tiny_raw, 2)
     assert item_map.label_of_rank == [1, 2, 3]
-    assert [[item_map.label_of_rank[r] for r in txn] for txn in db.transactions] == \
-        [[1, 2], [3], [1, 3], [2, 3], [1, 3]]
+    assert [tuple(item_map.label_of_rank[r] for r in txn) for txn in db.transactions] == \
+        [(1, 2), (3,), (1, 3), (2, 3), (1, 3)]
     assert db.item_count == 3
-    assert db.transactions == [[0, 1], [2], [0, 2], [1, 2], [0, 2]]
+    assert db.transactions == [(0, 1), (2,), (0, 2), (1, 2), (0, 2)]
     assert db.minsup == 2
 
 
@@ -107,7 +149,7 @@ def test_prune_identity_at_minsup1(tiny_raw):
     db, item_map = prune_and_remap(tiny_raw, 1)
     assert db.item_count == 5
     assert item_map.label_of_rank == [1, 2, 3, 4, 5]
-    relabeled = [[item_map.label_of_rank[r] for r in txn] for txn in db.transactions]
+    relabeled = [tuple(item_map.label_of_rank[r] for r in txn) for txn in db.transactions]
     assert relabeled == tiny_raw.transactions
 
 
@@ -119,7 +161,7 @@ def test_prune_rejects_zero_minsup(tiny_raw):
 def test_prune_drops_emptied_transactions():
     raw = parse_fimi("1 2\n9\n1 2\n")
     db, _ = prune_and_remap(raw, 2)
-    assert db.transactions == [[0, 1], [0, 1]]
+    assert db.transactions == [(0, 1), (0, 1)]
 
 
 def test_prune_ranks_preserve_label_order():
@@ -135,7 +177,7 @@ def test_prune_supports_meet_threshold():
             db, _ = prune_and_remap(raw, minsup)
             counts = [0] * db.item_count
             for txn in db.transactions:
-                assert txn == sorted(set(txn)) and txn
+                assert txn == tuple(sorted(set(txn))) and txn
                 for x in txn:
                     counts[x] += 1
             assert all(c >= minsup for c in counts)

@@ -57,7 +57,7 @@ def test_build_vertical_chain(tiny_ms2):
 def test_build_single_transaction_hchain():
     db, _ = prune_and_remap(parse_fimi("1 2 3\n"), 1)
     store = build_hdr(db)
-    assert store.db.transactions == [[0, 1, 2]]
+    assert store.db.transactions == [(0, 1, 2)]
     assert store.cell_count == 3
     assert store.item_txns == [[0], [0], [0]]
     assert [store.tidmask(x) for x in range(3)] == [0b1, 0b1, 0b1]
@@ -66,7 +66,7 @@ def test_build_single_transaction_hchain():
 def test_build_repeated_transaction_vertical_links():
     db, _ = prune_and_remap(parse_fimi("1\n1\n"), 1)
     store = build_hdr(db)
-    assert store.db.transactions == [[0], [0]]
+    assert store.db.transactions == [(0,), (0,)]
     assert store.cell_count == 2
     assert store.item_txns == [[0, 1]]
     assert store.tidmask(0) == 0b11
@@ -89,7 +89,7 @@ def test_build_cells_grouped_by_transaction(tiny_ms1):
     assert store.cell_count == sum(len(txn) for txn in db.transactions)
     assert store.row_cells == [len(txn) for txn in db.transactions]
     for t, txn in enumerate(db.transactions):
-        assert txn == sorted(set(txn))
+        assert txn == tuple(sorted(set(txn)))
         for x in txn:
             assert t in store.item_txns[x]
             assert store.tidmask(x) >> t & 1
@@ -449,7 +449,8 @@ def test_verify_counts_catches_unsorted_item_txns(tiny_ms2):
 def test_verify_counts_catches_wrong_item(tiny_ms2):
     _, _, store = tiny_ms2
     broken = clone_store(store)
-    broken.db.transactions[0][1] = 2  # txn 0 reads {1, 3} instead of {1, 2}
+    assert broken.db.transactions[0] == (0, 1)
+    broken.db.transactions[0] = (0, 2)  # txn 0 reads {1, 3} instead of {1, 2}
     tail = [0, 1, 2]
     # Below the root the horizontal kernel reads the pruned rows, so it now
     # disagrees with the masks; the original store's rows are untouched.
