@@ -1,5 +1,5 @@
 """Maximal frequent itemset mining over a hybrid store of per-transaction
-rank arrays and per-item transaction lists and transaction bitmasks."""
+rank tuples, per-item transaction arrays and transaction bitmasks."""
 
 from .dataset import (
     FimiParseError,
@@ -8,7 +8,6 @@ from .dataset import (
     TransactionDatabase,
     atl,
     gen_sparse,
-    global_supports,
     parse_fimi,
     prune_and_remap,
     read_fimi,
@@ -51,7 +50,6 @@ __all__ = [
     "TransactionDatabase",
     "atl",
     "gen_sparse",
-    "global_supports",
     "parse_fimi",
     "prune_and_remap",
     "read_fimi",

@@ -15,7 +15,10 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain
+from types import MappingProxyType
+from typing import Mapping
 
 _MAX_LABEL = 0xFFFFFFFF
 
@@ -40,11 +43,23 @@ class RawDatabase:
     """Transactions as ingested: sorted, deduplicated label tuples.
 
     The list is immutable by convention after construction, its rows by
-    type. Empty transactions are permitted here; they disappear at the
-    pruning stage.
+    type, so the label supports are counted once and kept. Empty
+    transactions are permitted here; they disappear at the pruning stage.
     """
 
     transactions: list[tuple[int, ...]]
+
+    # Cached as a plain dict, so the database still copies and pickles; a
+    # mappingproxy does neither.
+    @cached_property
+    def _support_counts(self) -> dict[int, int]:
+        return dict(Counter(chain.from_iterable(self.transactions)))
+
+    @property
+    def supports(self) -> Mapping[int, int]:
+        """Number of transactions containing each label: a read-only view
+        of counts made on first use, in one pass over every cell."""
+        return MappingProxyType(self._support_counts)
 
 
 @dataclass(frozen=True)
@@ -135,19 +150,13 @@ def to_fimi(db: RawDatabase) -> str:
     return "".join(" ".join(map(str, txn)) + "\n" for txn in db.transactions)
 
 
-def global_supports(db: RawDatabase) -> dict[int, int]:
-    """Number of transactions containing each label, counted in one pass
-    over every cell."""
-    return dict(Counter(chain.from_iterable(db.transactions)))
-
-
 def prune_and_remap(db: RawDatabase, minsup: int) -> tuple[TransactionDatabase, ItemMap]:
     """Drop labels with support below ``minsup``, remap survivors to dense
-    ranks in ascending label order, and drop transactions that end up empty."""
+    ranks in ascending label order, and drop transactions that end up empty.
+    The supports are the database's own, counted once for every prune."""
     if minsup < 1:
         raise ValueError(f"minsup must be a positive integer, got {minsup}")
-    support = global_supports(db)
-    keep = sorted(label for label, count in support.items() if count >= minsup)
+    keep = sorted(label for label, count in db.supports.items() if count >= minsup)
     rank_of = {label: rank for rank, label in enumerate(keep)}
     kept, rank = rank_of.__contains__, rank_of.__getitem__
     transactions: list[tuple[int, ...]] = []

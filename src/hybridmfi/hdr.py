@@ -1,29 +1,34 @@
 """Hybrid transaction store. The horizontal part is the pruned database
-itself: one ascending rank array per transaction. The vertical part is each
-item's ascending transaction list, which is the root's child projection,
-and each item's transaction bitmask (bit t set iff transaction t holds the
-item), built from that list the first time a bitmap-mode count needs it.
+itself: one ascending rank tuple per transaction. The vertical part is each
+item's ascending transaction sequence, a packed 32-bit array that is the
+root's child projection, and each item's transaction bitmask (bit t set iff
+transaction t holds the item), built from that array the first time a
+bitmap-mode count needs it.
 
 Support counting at a search node runs over the node's projected
 transactions (its Pdr) in one of two modes, and in both the count returns
 every child's transactions with its support. A horizontal count walks each
-transaction's rank array and appends the transaction to the list of every
+transaction's rank tuple and appends the transaction to the list of every
 tail item it holds (LCM's occurrence deliver): the lists' lengths are the
 supports and each list is a child's projection. A bitmap count ANDs the
 node's transaction mask with each tail item's mask: the AND is the child's
-projection and its popcount the support. A Pdr starts as a list of its
-transactions. At each list node ``select_mode`` picks the mode whose kernels
-cost less, by a model fitted to their timings. A bitmap count builds the
-node's mask from its list, so its children are masks, and from then on the
-whole subtree is masks, counted by bitmap only.
+projection and its popcount the support. A Pdr starts as a sequence of its
+transactions: the root's is a range, a root child's its item's array, a
+deeper child's a delivered list. At each sequence node ``select_mode``
+picks the mode whose kernels cost less, by a model fitted to their timings.
+A bitmap count builds the node's mask from its sequence, so its children
+are masks, and from then on the whole subtree is masks, counted by bitmap
+only.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+import sys
+from array import array
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .dataset import TransactionDatabase
 
@@ -53,7 +58,7 @@ def _indices(bits: int) -> list[int]:
     return [m.start() for m in _ONE.finditer(bin(bits)[:1:-1])]
 
 
-def _mask_of(indices: list[int], width: int) -> int:
+def _mask_of(indices: Sequence[int], width: int) -> int:
     """The bitmask with exactly ``indices`` set, all below ``width``, from
     one binary string (linear, where OR-ing bits one at a time is
     quadratic)."""
@@ -86,32 +91,34 @@ class TidMask:
 @dataclass(slots=True, frozen=True)
 class Pdr:
     """A node's projection: the transactions containing its head, as an
-    ascending index list or a TidMask. A list may be one of the store's
-    ``item_txns``, so neither the Pdr (frozen) nor its list is ever
+    ascending index sequence or a TidMask. The sequence is the root's range,
+    one of the store's ``item_txns`` arrays or a list a horizontal count
+    delivered, so neither the Pdr (frozen) nor its sequence is ever
     mutated."""
 
-    txns: list[int] | TidMask
+    txns: Sequence[int] | TidMask
 
 
 @dataclass(slots=True, eq=False)
 class HdrStore:
     """The hybrid layout. Horizontal: ``db.transactions[t]`` is transaction
-    t's ascending rank array, ``row_cells[t]`` its length, and ``cell_count``
-    the total number of item occurrences (cells) across them. Vertical: ``item_txns[x]`` lists the
-    transactions containing rank x in ascending order, and
-    ``item_tidmask[x]`` is the same set as a bitmask over transaction
-    indices (None until ``tidmask(x)`` first builds it).
+    t's ascending rank tuple, ``row_cells[t]`` its length, and
+    ``cell_count`` the total number of item occurrences (cells) across
+    them. Vertical: ``item_txns[x]`` is the ascending sequence of the
+    transactions containing rank x, packed in an ``array('i')`` (4 bytes a
+    cell), and ``item_tidmask[x]`` is the same set as a bitmask over
+    transaction indices (None until ``tidmask(x)`` first builds it).
 
     ``build_hdr`` fixes everything but ``item_tidmask``, whose entries are
     filled once each, on first use, from ``item_txns``. A filled entry never
     changes and two runs racing to fill one build the same value; Pdrs share
-    the ``item_txns`` lists but never mutate them. So a store can be shared
+    the ``item_txns`` arrays but never mutate them. So a store can be shared
     between concurrent mining runs."""
 
     db: TransactionDatabase
     cell_count: int
     row_cells: list[int]
-    item_txns: list[list[int]]
+    item_txns: list[array]
     item_tidmask: list[int | None]
 
     @property
@@ -130,18 +137,33 @@ class HdrStore:
         return mask
 
     def root_pdr(self) -> Pdr:
-        """Projection of the empty head: every transaction."""
-        return Pdr(list(range(self.txn_count)))
+        """Projection of the empty head: every transaction, as a range."""
+        return Pdr(range(self.txn_count))
+
+
+# Transaction indices are stored as signed C ints, so below 2**31.
+_TXN_TYPECODE = "i"
+_TXN_BYTES = array(_TXN_TYPECODE).itemsize
+_MAX_TXNS = 1 << (8 * _TXN_BYTES - 1)
 
 
 def build_hdr(db: TransactionDatabase) -> HdrStore:
-    """Lay out the per-item transaction lists in one pass over the database;
-    item masks are left to be built on first use."""
-    item_txns: list[list[int]] = [[] for _ in range(db.item_count)]
-    appends = [txns.append for txns in item_txns]
+    """Lay out the per-item transaction sequences in one pass over the
+    database; item masks are left to be built on first use. Raises
+    OverflowError for a database whose transaction indices do not fit a
+    C int."""
+    if len(db.transactions) > _MAX_TXNS:
+        raise OverflowError(f"{len(db.transactions)} transactions: indices of at most "
+                            f"{_MAX_TXNS} fit the store's {_TXN_TYPECODE!r} arrays")
+    item_txns = [array(_TXN_TYPECODE) for _ in range(db.item_count)]
+    # Appending a row's index as its 4 native bytes costs less per cell
+    # than array.append, which converts the int once per cell.
+    fills = [txns.frombytes for txns in item_txns]
+    byteorder = sys.byteorder
     for t, txn in enumerate(db.transactions):
+        packed = t.to_bytes(_TXN_BYTES, byteorder)
         for x in txn:
-            appends[x](t)
+            fills[x](packed)
     row_cells = list(map(len, db.transactions))
     return HdrStore(db, sum(row_cells), row_cells, item_txns, [None] * db.item_count)
 
@@ -149,14 +171,14 @@ def build_hdr(db: TransactionDatabase) -> HdrStore:
 # Kernel costs in nanoseconds, fitted as select_mode records.
 _HORIZONTAL_NS = (1.7e3, 33.0, 200.0)  # per call, per row cell, per tail item
 _BITMAP_NS = (1.6e3, 150.0, 0.083)  # per call, per tail item, per tail item and transaction
-_BUILD_NS = (3.1, 41.0)  # list -> mask: per transaction, per one held
+_BUILD_NS = (3.1, 41.0)  # sequence -> mask: per transaction, per one held
 
 
 def select_mode(store: HdrStore, pdr: Pdr, tail_size: int) -> CountMode:
     """The counting mode whose kernels cost less at this node. A mask Pdr
-    is counted by bitmap, and a list Pdr holding every transaction
-    horizontally, from the item lists with no scan. For any other list Pdr,
-    with n store transactions, c row cells summed over the Pdr's
+    is counted by bitmap, and a sequence Pdr holding every transaction
+    horizontally, from the item arrays with no scan. For any other sequence
+    Pdr, with n store transactions, c row cells summed over the Pdr's
     transactions and k tail items, horizontal costs 1700 + 33 c + 200 k ns
     and bitmap 1600 + (150 + 0.083 n) k ns, plus 3.1 n + 41 |pdr| to build
     the Pdr's mask.
@@ -165,7 +187,7 @@ def select_mode(store: HdrStore, pdr: Pdr, tail_size: int) -> CountMode:
     relative error to its kernel's timings on 801 search nodes sampled from
     mines of 1,000 to 100,000 transactions, three rounds each (CPython
     3.11.7, 2-core VM): horizontal counts took 4 us to 7.7 ms, bitmap counts
-    1.5 us to 12 ms, list -> mask 3.5 us to 0.97 ms; median relative error
+    1.5 us to 12 ms, sequence -> mask 3.5 us to 0.97 ms; median relative error
     0.16 to 0.18 per kernel."""
     txns = pdr.txns
     if isinstance(txns, TidMask):
@@ -184,19 +206,20 @@ def select_mode(store: HdrStore, pdr: Pdr, tail_size: int) -> CountMode:
 
 def count_supports(store: HdrStore, pdr: Pdr, tail, mode: CountMode = CountMode.AUTO,
                    counters: CostCounters | None = None
-                   ) -> list[tuple[int, int, list[int] | int | None]]:
+                   ) -> list[tuple[int, int, Sequence[int] | int | None]]:
     """(y, support of head∪{y}, child transactions) for every tail item y,
     in tail order, over the node's projected transactions. Horizontal mode
     appends each transaction to the list of every tail item its row holds
     and returns the lists; a Pdr holding every transaction returns the
-    store's ``item_txns`` lists, with no scan. Bitmap mode ANDs the Pdr's
-    mask (built here from a list Pdr) with each tail item's mask and returns
-    the int masks, but None for a child below the minsup the database was
-    pruned at, which no mine of the store can branch on: every mask spans
-    the whole database, so a wide node's infrequent masks are freed as soon
-    as they are popcounted, as ``mine_bitmap_baseline`` frees them. A mask
-    Pdr counted horizontally raises ValueError. The Pdr is never changed.
-    Both modes give identical supports and bill identical work."""
+    store's ``item_txns`` arrays, with no scan. Bitmap mode ANDs the Pdr's
+    mask (built here from a sequence Pdr, all ones for one holding every
+    transaction) with each tail item's mask and returns the int masks, but
+    None for a child below the minsup the database was pruned at, which no
+    mine of the store can branch on: every mask spans the whole database,
+    so a wide node's infrequent masks are freed as soon as they are
+    popcounted, as ``mine_bitmap_baseline`` frees them. A mask Pdr counted
+    horizontally raises ValueError. The Pdr is never changed. Both modes
+    give identical supports and bill identical work."""
     if mode is CountMode.AUTO:
         mode = select_mode(store, pdr, len(tail))
     txns = pdr.txns
@@ -218,7 +241,13 @@ def count_supports(store: HdrStore, pdr: Pdr, tail, mode: CountMode = CountMode.
                         occurrences.append(t)
         children = [(y, len(delivered[y]), delivered[y]) for y in tail]
     else:
-        bits = txns.bits if isinstance(txns, TidMask) else _mask_of(txns, store.txn_count)
+        n = store.txn_count
+        if isinstance(txns, TidMask):
+            bits = txns.bits
+        elif len(txns) == n:
+            bits = (1 << n) - 1
+        else:
+            bits = _mask_of(txns, n)
         tidmask, minsup = store.tidmask, store.db.minsup
         children = []
         for y in tail:
@@ -230,25 +259,26 @@ def count_supports(store: HdrStore, pdr: Pdr, tail, mode: CountMode = CountMode.
     return children
 
 
-def project_vertical(store: HdrStore, parent: Pdr, txns: list[int] | int,
+def project_vertical(store: HdrStore, parent: Pdr, txns: Sequence[int] | int,
                      support: int) -> Pdr:
-    """The Pdr of a child ``count_supports`` returned for ``parent``: a list
-    as it is, a mask with its support as its population. The store and the
-    parent go unread; the benchmark's span recorder (perfbench/spans.py)
-    tells root projections from scan projections by them."""
-    return Pdr(txns if isinstance(txns, list) else TidMask(txns, support))
+    """The Pdr of a child ``count_supports`` returned for ``parent``: a
+    sequence as it is, a mask with its support as its population. The store
+    and the parent go unread; the benchmark's span recorder
+    (perfbench/spans.py) tells root projections from scan projections by
+    them."""
+    return Pdr(TidMask(txns, support) if isinstance(txns, int) else txns)
 
 
 def verify_counts(store: HdrStore, pdr: Pdr, tail,
-                  children: list[tuple[int, int, list[int] | int | None]] = ()) -> bool:
+                  children: list[tuple[int, int, Sequence[int] | int | None]] = ()) -> bool:
     """Debug oracle: recompute tail supports three independent ways (a
     rescan of the rows the horizontal kernel reads, per-item transaction
-    lists, AND and popcount of the item masks) and check that every item's
-    transaction list is strictly ascending, that the Pdr's stored size
-    matches its transactions and that each of ``children``, as
+    sequences, AND and popcount of the item masks) and check that every
+    item's transaction sequence is strictly ascending, that the Pdr's stored
+    size matches its transactions and that each of ``children``, as
     ``count_supports`` returns them, is in tail order with its item's
-    support and, as a list or a mask, exactly the Pdr's transactions whose
-    rows hold its item (None only below the database's prune minsup).
+    support and, as a sequence or a mask, exactly the Pdr's transactions
+    whose rows hold its item (None only below the database's prune minsup).
     True only if everything agrees. Slow by design; never used on the mining
     hot path."""
     rows, tail_set = store.db.transactions, set(tail)
@@ -277,9 +307,11 @@ def verify_counts(store: HdrStore, pdr: Pdr, tail,
     for y, support, child in children:
         expected = [t for t in txns if y in rows[t]]
         if isinstance(child, int):
-            expected = _mask_of(expected, store.txn_count)
-        elif child is None and support < store.db.minsup:
-            expected = None
-        if child != expected or support != raw[y]:
+            matches = child == _mask_of(expected, store.txn_count)
+        elif child is None:
+            matches = support < store.db.minsup
+        else:
+            matches = list(child) == expected
+        if not matches or support != raw[y]:
             return False
     return raw == listed == masked

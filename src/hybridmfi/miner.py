@@ -25,7 +25,7 @@ store is checked to be an antichain once, before it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .hdr import CostCounters, CountMode, HdrStore, Pdr, count_supports, project_vertical
 
@@ -198,7 +198,7 @@ def mine_mfi(
         # head∪tail is known frequent (and covered); None once it has
         # pushed a frame for its children.
         # (item, support, transactions) of each child to branch on
-        children: list[tuple[int, int, list[int] | int]] = []
+        children: list[tuple[int, int, Sequence[int] | int]] = []
         all_frequent = True
         if tail:
             for child in count_supports(store, pdr, tail, mode, counters):

@@ -90,10 +90,10 @@ def test_root_counting_costs(tiny_raw):
         counters = CostCounters()
         children = count_supports(store, store.root_pdr(), tail, mode, counters)
         billed[mode.value] = counters.cells_touched
-        # A list child of the root is its item's list itself; a mask child
-        # is its item's mask.
-        shared &= all(child is store.item_txns[y] if isinstance(child, list)
-                      else child == store.tidmask(y) for y, _, child in children)
+        # A sequence child of the root is its item's array itself; a mask
+        # child is its item's mask.
+        shared &= all(child == store.tidmask(y) if isinstance(child, int)
+                      else child is store.item_txns[y] for y, _, child in children)
     elapsed = time.monotonic() - started
     ok = set(billed.values()) == {11} and shared and elapsed < 1.0
     report(2, ok, "root counting bills "
@@ -106,16 +106,16 @@ def test_average_length_and_mode_choice(tiny_file):
         code = cli.main(["stats", str(tiny_file)])
     out = buffer.getvalue()
     # The root of the same database holds all 5 transactions, so AUTO
-    # counts it horizontally and delivers the item lists themselves.
+    # counts it horizontally and delivers the item arrays themselves.
     db, _ = prune_and_remap(parse_fimi(TINY_DB), 1)
     store = build_hdr(db)
     children = count_supports(store, store.root_pdr(), list(range(5)))
-    chosen = (CountMode.HORIZONTAL if all(isinstance(c, list) for _, _, c in children)
-              else CountMode.BITMAP)
+    chosen = (CountMode.BITMAP if any(isinstance(c, int) for _, _, c in children)
+              else CountMode.HORIZONTAL)
     ok = (code == 0 and "Average Length=2.2" in out and chosen is CountMode.HORIZONTAL
           and all(child is store.item_txns[y] for y, _, child in children))
     report(3, ok, f"stats prints Average Length=2.2, and AUTO counts the root's "
-                  f"11 cells over 5 tail items {chosen.value}ly from the item lists")
+                  f"11 cells over 5 tail items {chosen.value}ly from the item arrays")
 
 
 def test_three_way_agreement_sweep(sweep):

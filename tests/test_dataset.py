@@ -4,9 +4,9 @@ import pytest
 
 from hybridmfi import (
     FimiParseError,
+    RawDatabase,
     atl,
     gen_sparse,
-    global_supports,
     parse_fimi,
     prune_and_remap,
     to_fimi,
@@ -110,15 +110,15 @@ def test_parse_rejects_overflowing_item():
 
 
 def test_global_supports_tiny_db(tiny_raw):
-    assert global_supports(tiny_raw) == {1: 3, 2: 2, 3: 4, 4: 1, 5: 1}
+    assert tiny_raw.supports == {1: 3, 2: 2, 3: 4, 4: 1, 5: 1}
 
 
 def test_global_supports_empty():
-    assert global_supports(parse_fimi("")) == {}
+    assert parse_fimi("").supports == {}
 
 
 def test_global_supports_repeated_singleton():
-    assert global_supports(parse_fimi("1\n1\n1\n")) == {1: 3}
+    assert parse_fimi("1\n1\n1\n").supports == {1: 3}
 
 
 def test_prune_minsup2(tiny_raw):
@@ -176,6 +176,30 @@ def test_prune_supports_meet_threshold():
             assert all(c >= minsup for c in counts)
 
 
+def test_prune_counts_supports_once():
+    # Pruning one raw database at three thresholds counts its supports on
+    # the first prune only; each prune then makes its one remap pass. The
+    # databases equal fresh prunes, and the cached counts are read-only.
+    class Rows(list):
+        passes = 0
+
+        def __iter__(self):
+            self.passes += 1
+            return super().__iter__()
+
+    raw = gen_sparse(300, 30, 6, 4)
+    rows = Rows(raw.transactions)
+    shared = RawDatabase(rows)
+    thresholds = (1, 5, 20)
+    pruned = [prune_and_remap(shared, minsup) for minsup in thresholds]
+    assert rows.passes == 1 + len(thresholds)
+    assert pruned == [prune_and_remap(RawDatabase(list(raw.transactions)), minsup)
+                      for minsup in thresholds]
+    assert shared.supports == raw.supports and rows.passes == 1 + len(thresholds)
+    with pytest.raises(TypeError):
+        shared.supports[1] = 0
+
+
 def test_gen_sparse_deterministic():
     a = gen_sparse(200, 30, 4, 99)
     b = gen_sparse(200, 30, 4, 99)
@@ -200,7 +224,7 @@ def test_gen_sparse_lengths_in_bounds():
 
 def test_gen_sparse_skewed_popularity():
     raw = gen_sparse(2000, 40, 5, 11)
-    support = global_supports(raw)
+    support = raw.supports
     assert support[1] > support[40] * 3
 
 
@@ -239,4 +263,4 @@ def test_fimi_roundtrip_on_parsed_databases():
 def test_support_sum_equals_length_sum():
     for seed in range(10):
         raw = gen_sparse(40, 12, 3, seed)
-        assert sum(global_supports(raw).values()) == sum(len(t) for t in raw.transactions)
+        assert sum(raw.supports.values()) == sum(len(t) for t in raw.transactions)

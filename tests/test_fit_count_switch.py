@@ -4,6 +4,7 @@ change to the counting API that breaks the tool fails tier-1."""
 
 import importlib.util
 import random
+from array import array
 from pathlib import Path
 
 import pytest
@@ -41,7 +42,7 @@ def test_sampled_nodes_runs_on_a_tiny_database():
     assert hybridmfi.miner.count_supports is count_supports
     rows = db.transactions
     for txns, tail in nodes:
-        assert 0 < len(txns) < store.txn_count and txns == sorted(set(txns))
+        assert 0 < len(txns) < store.txn_count and list(txns) == sorted(set(txns))
         # Each node is timed horizontally as a list and by bitmap as a mask;
         # both return the same supports and the same children, but for the
         # masks of children below the prune minsup, which are dropped.
@@ -53,3 +54,27 @@ def test_sampled_nodes_runs_on_a_tiny_database():
             assert child == [t for t in txns if y in rows[t]]
             assert child_mask == (_mask_of(child, store.txn_count)
                                   if len(child) >= db.minsup else None)
+
+
+def test_report_gives_each_round_fit_beside_the_pooled_fit():
+    # Two tiny databases, so the bitmap and build features are not
+    # collinear; root children are timed as the store's item arrays.
+    tool = load_tool()
+    nodes = []
+    for txns_n, seed in ((200, 0), (300, 1)):
+        db, _ = prune_and_remap(gen_sparse(txns_n, 20, 5, seed), 3)
+        store = build_hdr(db)
+        nodes += [(store, txns, tail) for txns, tail in tool.sampled_nodes(store, 3, 2)]
+    assert any(type(txns) is array for _, txns, _ in nodes)
+    rounds = [tool.time_round(nodes, repeat=1) for _ in range(2)]
+    lines = tool.report(rounds)
+    assert len(lines) == 2 * len(tool.NAMES)
+    for line, (kernel, names) in zip(lines, tool.NAMES.items()):
+        features, times = (rounds[0][kernel][i] + rounds[1][kernel][i] for i in (0, 1))
+        pooled = tool.fit(features, times)
+        per_round = [tool.fit(*samples[kernel]) for samples in rounds]
+        assert line.startswith(f"{kernel}: ") and f"({2 * len(nodes)} timings," in line
+        for name, c, fitted in zip(names, pooled, zip(*per_round)):
+            assert f"{c:.3g} {name} (rounds {min(fitted):.3g}-{max(fitted):.3g})" in line
+        constants = ", ".join(f"{c:.2g}" for c in pooled)
+        assert f"_{kernel.upper()}_NS = ({constants})" in lines[len(tool.NAMES):]

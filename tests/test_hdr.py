@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import random
+import tracemalloc
+from array import array
 from types import SimpleNamespace
 
 import pytest
@@ -9,11 +11,13 @@ from hybridmfi import (
     CostCounters,
     CountMode,
     HdrStore,
+    MinerConfig,
     Pdr,
     TidMask,
     build_hdr,
     count_supports,
     gen_sparse,
+    mine_mfi,
     parse_fimi,
     project_vertical,
     prune_and_remap,
@@ -29,7 +33,7 @@ def clone_store(store):
         copy.deepcopy(store.db),
         store.cell_count,
         list(store.row_cells),
-        [list(txns) for txns in store.item_txns],
+        [copy.copy(txns) for txns in store.item_txns],
         list(store.item_tidmask),
     )
 
@@ -47,11 +51,11 @@ def project(store, parent, y, mode=CountMode.HORIZONTAL):
 
 
 def test_build_vertical_chain(tiny_ms2):
-    # Each rank's transaction list, ascending.
+    # Each rank's transaction sequence, ascending.
     _, _, store = tiny_ms2
-    assert store.item_txns[0] == [0, 2, 4]  # label 1
-    assert store.item_txns[1] == [0, 3]     # label 2
-    assert store.item_txns[2] == [1, 2, 3, 4]  # label 3
+    assert list(store.item_txns[0]) == [0, 2, 4]  # label 1
+    assert list(store.item_txns[1]) == [0, 3]     # label 2
+    assert list(store.item_txns[2]) == [1, 2, 3, 4]  # label 3
 
 
 def test_build_single_transaction_hchain():
@@ -59,7 +63,7 @@ def test_build_single_transaction_hchain():
     store = build_hdr(db)
     assert store.db.transactions == [(0, 1, 2)]
     assert store.cell_count == 3
-    assert store.item_txns == [[0], [0], [0]]
+    assert list(map(list, store.item_txns)) == [[0], [0], [0]]
     assert [store.tidmask(x) for x in range(3)] == [0b1, 0b1, 0b1]
 
 
@@ -68,7 +72,7 @@ def test_build_repeated_transaction_vertical_links():
     store = build_hdr(db)
     assert store.db.transactions == [(0,), (0,)]
     assert store.cell_count == 2
-    assert store.item_txns == [[0, 1]]
+    assert list(map(list, store.item_txns)) == [[0, 1]]
     assert store.tidmask(0) == 0b11
 
 
@@ -99,8 +103,43 @@ def test_build_empty_database():
     db, _ = prune_and_remap(parse_fimi(""), 1)
     store = build_hdr(db)
     assert store.cell_count == 0
-    assert store.root_pdr().txns == []
+    assert list(store.root_pdr().txns) == []
     assert count_supports(store, store.root_pdr(), []) == []
+
+
+def test_store_packs_item_sequences_into_int_arrays():
+    # The vertical half costs 4 bytes a cell plus the arrays' growth slack
+    # (a sixteenth), and the row lengths 8 bytes a row, 0.4 a cell at this
+    # average length of 20: at most 5 bytes a cell and a constant an item
+    # in all. Lists of ints cost about 12.
+    db, _ = prune_and_remap(gen_sparse(5000, 200, 20, 7), 1)
+    tracemalloc.start()
+    try:
+        store = build_hdr(db)
+        allocated = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert allocated <= 5 * store.cell_count + 256 * db.item_count
+    assert all(type(txns) is array and txns.typecode == "i" for txns in store.item_txns)
+    assert type(store.root_pdr().txns) is range
+    # No count or projection writes through the arrays that root children
+    # and their delivered lists come from.
+    packed = [txns.tobytes() for txns in store.item_txns]
+    for mode in CountMode:
+        mine_mfi(store, MinerConfig(minsup=200, mode=mode))
+        assert [txns.tobytes() for txns in store.item_txns] == packed, mode
+
+
+def test_build_rejects_indices_beyond_the_typecode(monkeypatch):
+    # Signed 32-bit indices reach 2**31 - 1: a store holds at most 2**31
+    # transactions, checked before any array is filled.
+    assert hdr._MAX_TXNS == 2**31
+    db, _ = prune_and_remap(parse_fimi("1\n1\n1\n"), 1)
+    monkeypatch.setattr(hdr, "_MAX_TXNS", 3)
+    assert [list(txns) for txns in build_hdr(db).item_txns] == [[0, 1, 2]]
+    monkeypatch.setattr(hdr, "_MAX_TXNS", 2)
+    with pytest.raises(OverflowError, match="3 transactions"):
+        build_hdr(db)
 
 
 def test_select_mode_examples():
@@ -196,7 +235,7 @@ def test_count_node_after_projection(tiny_ms2):
     # count returns every list its scan delivered.
     _, _, store = tiny_ms2
     pdr = project(store, store.root_pdr(), 0)
-    assert pdr.txns == [0, 2, 4]
+    assert list(pdr.txns) == [0, 2, 4]
     horizontal = count_supports(store, pdr, [1, 2], CountMode.HORIZONTAL)
     counters = CostCounters()
     bitmap = count_supports(store, pdr, [1, 2], CountMode.BITMAP, counters)
@@ -250,11 +289,11 @@ def test_counters_accumulate(tiny_ms1):
 
 
 def test_project_from_root_uses_ascending_txns(tiny_ms2):
-    # A root child shares its item's list; a deeper list child shares the
+    # A root child shares its item's array; a deeper list child shares the
     # list its parent's horizontal count delivered. Nothing is copied.
     _, _, store = tiny_ms2
     child = project(store, store.root_pdr(), 0)
-    assert child.txns == [0, 2, 4] and child.txns is store.item_txns[0]
+    assert list(child.txns) == [0, 2, 4] and child.txns is store.item_txns[0]
     (_, _, first), (_, support, second) = count_supports(store, child, [1, 2],
                                                          CountMode.HORIZONTAL)
     grand = project_vertical(store, child, second, support)
@@ -264,7 +303,7 @@ def test_project_from_root_uses_ascending_txns(tiny_ms2):
 def test_project_absent_item_gives_empty(tiny_ms1):
     _, _, store = tiny_ms1
     node_d = project(store, store.root_pdr(), 3)
-    assert node_d.txns == [0]
+    assert list(node_d.txns) == [0]
     empty = project(store, node_d, 4)
     assert empty.txns == []
     # No mine branches on an empty child, so a bitmap count keeps no mask.
@@ -279,7 +318,7 @@ def test_project_cells_counts_child_row_cells(monkeypatch, tiny_ms1):
     root = store.root_pdr()
     child = project(store, root, 0)
     masked = project(store, root, 0, CountMode.BITMAP)
-    assert child.txns == [0, 2, 4] == list(masked.txns)
+    assert list(child.txns) == [0, 2, 4] == list(masked.txns)
     assert sum(len(db.transactions[t]) for t in child.txns) == 3 + 3 + 2
     monkeypatch.setattr(hdr, "_HORIZONTAL_NS", (0.0, 1.0, 0.0))
     monkeypatch.setattr(hdr, "_BUILD_NS", (0.0, 0.0))
@@ -305,8 +344,8 @@ def test_project_leaves_parent_untouched(tiny_ms2):
         for _, support, child in children:
             if child is not None:
                 project_vertical(store, parent, child, support)
-        assert parent.txns is txns and txns == before == [1, 2, 3, 4]
-        assert parent == Pdr(before)
+        assert parent.txns is txns and list(txns) == before == [1, 2, 3, 4]
+        assert Pdr(list(parent.txns)) == Pdr(before)
     with pytest.raises(dataclasses.FrozenInstanceError):
         parent.txns = []
 
@@ -315,18 +354,19 @@ def test_root_pdr_cells_is_cell_count(tiny_ms1):
     # The root holds every transaction, so its rows are every cell.
     _, _, store = tiny_ms1
     root = store.root_pdr()
-    assert root.txns == list(range(store.txn_count))
+    assert list(root.txns) == list(range(store.txn_count))
     assert sum(store.row_cells[t] for t in root.txns) == store.cell_count == 11
     assert [field.name for field in dataclasses.fields(root)] == ["txns"]
 
 
 def test_mode_independence_on_random_nodes():
-    # Every node is counted both ways: horizontally as a list and by bitmap,
-    # one of them on a list copy, and both return the same supports and the
-    # same children, but that a bitmap count keeps no mask below the prune
-    # minsup. At odd steps a list node descends to a horizontal count's
-    # list child; otherwise it descends to a bitmap count's mask child, and
-    # so does its whole subtree.
+    # Every node is counted both ways: horizontally as a sequence and by
+    # bitmap, one of them on a list copy, and both return the same supports
+    # and the same children, but that a bitmap count keeps no mask below the
+    # prune minsup. At two steps of three a sequence node (the root's range,
+    # a root child's item array, a delivered list) descends to a horizontal
+    # count's child; otherwise it descends to a bitmap count's mask child,
+    # and so does its whole subtree.
     rng = random.Random(17)
     born = set()
     for seed in range(15):
@@ -345,7 +385,7 @@ def test_mode_independence_on_random_nodes():
             if not tail or not expected:
                 break
             copied = Pdr(list(pdr.txns))
-            keep_list = isinstance(pdr.txns, list) and step % 2
+            keep_list = not isinstance(pdr.txns, TidMask) and step % 3
             txns = pdr.txns
             horizontal = count_supports(store, pdr if keep_list else copied, tail,
                                         CountMode.HORIZONTAL)
@@ -354,7 +394,7 @@ def test_mode_independence_on_random_nodes():
             assert pdr.txns is txns
             for (y, s, lst), (z, u, mask) in zip(horizontal, bitmap):
                 child = [t for t in expected if y in rows[t]]
-                assert (y, s, lst) == (z, u, child)
+                assert (y, s, list(lst)) == (z, u, child)
                 assert mask == (_mask_of(child, len(rows)) if s >= 2 else None)
             assert [y for y, _, _ in horizontal] == tail
             choices = [c for c in (horizontal if keep_list else bitmap) if c[2] is not None]
@@ -366,7 +406,7 @@ def test_mode_independence_on_random_nodes():
             pdr = project_vertical(store, pdr, child, s)
             born.add(type(pdr.txns))
             step += 1
-    assert born == {list, TidMask}
+    assert born == {array, list, TidMask}
 
 
 def test_projection_support_identity():
@@ -494,6 +534,13 @@ def test_verify_counts_catches_wrong_delivered_list(tiny_ms2):
         assert not verify_counts(store, child, tail, [(y, support + 1, txns), second])
         assert not verify_counts(store, child, tail, [(y, support, None), second])
         assert not verify_counts(store, child, tail, [second, (y, support, txns)])
+    # A horizontal count of the root returns the store's item arrays; one
+    # short of an index fails too.
+    root = store.root_pdr()
+    (y, support, txns), second = children = count_supports(store, root, tail,
+                                                           CountMode.HORIZONTAL)
+    assert type(txns) is array and verify_counts(store, root, tail, children)
+    assert not verify_counts(store, root, tail, [(y, support, txns[1:]), second])
 
 
 def test_verify_counts_catches_wrong_tidmask(tiny_ms2):

@@ -135,7 +135,7 @@ def test_pep_containment_property():
         rest = tail[1:]
         head_support = len(pdr.txns)
         mask = _mask_of(pdr.txns, store.txn_count)
-        for mode, same in ((CountMode.HORIZONTAL, pdr.txns), (CountMode.BITMAP, mask)):
+        for mode, same in ((CountMode.HORIZONTAL, list(pdr.txns)), (CountMode.BITMAP, mask)):
             for x, s, child in count_supports(store, pdr, rest, mode):
                 if s == head_support:
                     assert all(x in db.transactions[t] for t in pdr.txns)
