@@ -66,7 +66,7 @@ def test_report_gives_each_round_fit_beside_the_pooled_fit():
         store = build_hdr(db)
         nodes += [(store, txns, tail) for txns, tail in tool.sampled_nodes(store, 3, 2)]
     assert any(type(txns) is array for _, txns, _ in nodes)
-    rounds = [tool.time_round(nodes, repeat=1) for _ in range(2)]
+    rounds = [tool.time_round(nodes) for _ in range(2)]
     lines = tool.report(rounds)
     assert len(lines) == 2 * len(tool.NAMES)
     for line, (kernel, names) in zip(lines, tool.NAMES.items()):

@@ -345,7 +345,7 @@ def test_project_leaves_parent_untouched(tiny_ms2):
             if child is not None:
                 project_vertical(store, parent, child, support)
         assert parent.txns is txns and list(txns) == before == [1, 2, 3, 4]
-        assert Pdr(list(parent.txns)) == Pdr(before)
+        assert type(txns) is array and parent == Pdr(array("i", before))
     with pytest.raises(dataclasses.FrozenInstanceError):
         parent.txns = []
 

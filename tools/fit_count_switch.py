@@ -102,9 +102,9 @@ NAMES = {"horizontal": ("per call", "per cell", "per tail item"),
          "build": ("per transaction", "per one held")}
 
 
-def time_round(nodes, repeat: int = 7) -> dict[str, tuple[list, list]]:
-    """One round: each kernel's (features, best-of-``repeat`` timings in
-    ns) on every (store, transactions, tail) node."""
+def time_round(nodes) -> dict[str, tuple[list, list]]:
+    """One round: each kernel's (features, best-of-7 timings in ns) on
+    every (store, transactions, tail) node."""
     samples = {name: ([], []) for name in NAMES}
 
     def record(name, features, ns):
@@ -116,10 +116,10 @@ def time_round(nodes, repeat: int = 7) -> dict[str, tuple[list, list]]:
         cells = sum(len(rows[t]) for t in txns)
         mask = TidMask(_mask_of(txns, n), len(txns))
         record("horizontal", (1, cells, len(tail)), best_ns(
-            lambda: count_supports(store, Pdr(txns), tail, CountMode.HORIZONTAL), repeat))
+            lambda: count_supports(store, Pdr(txns), tail, CountMode.HORIZONTAL)))
         record("bitmap", (1, len(tail), len(tail) * n), best_ns(
-            lambda: count_supports(store, Pdr(mask), tail, CountMode.BITMAP), repeat))
-        record("build", (n, len(txns)), best_ns(lambda: _mask_of(txns, n), repeat))
+            lambda: count_supports(store, Pdr(mask), tail, CountMode.BITMAP)))
+        record("build", (n, len(txns)), best_ns(lambda: _mask_of(txns, n)))
     return samples
 
 
