@@ -35,7 +35,6 @@ from .miner import (
 from .oracle import (
     BRUTEFORCE_MAX_ITEMS,
     CapacityError,
-    FrequentSet,
     enumerate_fi_bruteforce,
     maximal_filter,
     mine_bitmap_baseline,
@@ -71,7 +70,6 @@ __all__ = [
     "mine_mfi",
     "BRUTEFORCE_MAX_ITEMS",
     "CapacityError",
-    "FrequentSet",
     "enumerate_fi_bruteforce",
     "maximal_filter",
     "mine_bitmap_baseline",

@@ -1,8 +1,10 @@
-"""Command-line front end: mine, oracle, bench, stats.
+"""Command-line front end: mine, bench, stats.
 
-Exit codes: 0 success, 2 unusable input (bad path, malformed file, invalid
-minsup, empty bench grid), 3 internal invariant breach (e.g. the bench
-harness catching algorithms that disagree), 4 oracle capacity guard.
+``mine --algorithm`` and ``bench --algorithms`` pick among the miners in
+``MINERS``: the hybrid engine, the bitmap baseline and the brute-force
+oracle. Exit codes: 0 success, 2 unusable input (bad path, malformed file,
+invalid minsup, empty bench grid), 3 internal invariant breach (e.g. the
+bench harness catching algorithms that disagree), 4 oracle capacity guard.
 Mined output is canonical and byte-identical across algorithms: one itemset
 per line as ascending original labels, a " (support)" suffix, lines sorted
 as integer sequences.
@@ -16,12 +18,13 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .dataset import (
     FimiParseError,
     ItemMap,
     RawDatabase,
+    TransactionDatabase,
     atl,
     gen_sparse,
     prune_and_remap,
@@ -36,17 +39,6 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 EXIT_GUARD = 4
 
-CSV_COLUMNS = [
-    "dataset",
-    "algorithm",
-    "minsup_abs",
-    "minsup_rel",
-    "mfi_count",
-    "wall_time_ms",
-    "cells_touched",
-    "nodes_explored",
-]
-
 
 class CliError(Exception):
     """Input problem an operator can fix; maps to exit code 2."""
@@ -54,8 +46,9 @@ class CliError(Exception):
 
 @dataclass
 class RunReport:
-    """One mining run's summary; the counter fields are filled for hybrid
-    runs only."""
+    """One mining run. Its fields, in order, are the bench CSV columns; the
+    counters are None for the miners other than hybrid, a blank cell and no
+    entry in the stderr summary."""
 
     dataset: str
     algorithm: str
@@ -63,37 +56,31 @@ class RunReport:
     minsup_rel: float
     mfi_count: int
     wall_time_ms: int
-    cells_touched: int | None = None
-    nodes_explored: int | None = None
+    cells_touched: int | None
+    nodes_explored: int | None
 
     def csv_row(self) -> list:
-        def opt(value):
-            return "" if value is None else value
-
-        return [
-            self.dataset,
-            self.algorithm,
-            self.minsup_abs,
-            f"{self.minsup_rel:.6g}",
-            self.mfi_count,
-            self.wall_time_ms,
-            opt(self.cells_touched),
-            opt(self.nodes_explored),
-        ]
+        row = []
+        for name in CSV_COLUMNS:
+            value = getattr(self, name)
+            if name == "minsup_rel":
+                value = f"{value:.6g}"
+            row.append("" if value is None else value)
+        return row
 
     def summary(self) -> str:
-        parts = [
-            f"dataset={self.dataset}",
-            f"algorithm={self.algorithm}",
-            f"minsup={self.minsup_abs}",
-            f"mfi={self.mfi_count}",
-            f"time_ms={self.wall_time_ms}",
-        ]
-        if self.cells_touched is not None:
-            parts.append(f"cells_touched={self.cells_touched}")
-        if self.nodes_explored is not None:
-            parts.append(f"nodes_explored={self.nodes_explored}")
+        parts = []
+        for name in CSV_COLUMNS:
+            key, value = _SUMMARY_KEYS.get(name, name), getattr(self, name)
+            if key is not None and value is not None:
+                parts.append(f"{key}={value}")
         return " ".join(parts)
+
+
+CSV_COLUMNS = [field.name for field in fields(RunReport)]
+# The stderr summary's key for each field it renames; minsup_rel is CSV only.
+_SUMMARY_KEYS = {"minsup_abs": "minsup", "minsup_rel": None, "mfi_count": "mfi",
+                 "wall_time_ms": "time_ms"}
 
 
 _MINSUP_INTEGER = re.compile(r"[0-9]+")
@@ -173,70 +160,57 @@ def _write_output(path: str | None, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _run_algorithm(
-    algorithm: str,
-    raw: RawDatabase,
-    minsup_abs: int,
-    mode: CountMode,
-    config_flags: dict,
-) -> tuple[MfiStore, ItemMap, RunReport]:
+def _mine_hybrid(db: TransactionDatabase, minsup: int, args):
+    counters, stats = CostCounters(), SearchStats()
+    config = MinerConfig(
+        minsup=minsup,
+        mode=CountMode(args.mode),
+        enable_pep=not args.no_pep,
+        enable_fhut=not args.no_fhut,
+        enable_hutmfi=not args.no_hutmfi,
+        enable_reorder=not args.no_reorder,
+    )
+    result = mine_mfi(build_hdr(db), config, counters=counters, stats=stats)
+    return result, counters.cells_touched, stats.nodes_explored
+
+
+# Each algorithm mines a pruned database at a minsup, reading the engine
+# flags from the parsed arguments, and returns (maximal sets, cells_touched,
+# nodes_explored); the counters are the hybrid engine's alone. Module names
+# are looked up at call time, so a test can stand in for a miner.
+MINERS = {
+    "hybrid": _mine_hybrid,
+    "bitmap": lambda db, minsup, args: (mine_bitmap_baseline(db, minsup), None, None),
+    "oracle": lambda db, minsup, args: (
+        maximal_filter(enumerate_fi_bruteforce(db, minsup)), None, None),
+}
+
+
+def _run_algorithms(args, algorithms: list[str], dataset: str, raw: RawDatabase,
+                    minsup_abs: int) -> list[tuple[str, RunReport]]:
+    """Prune ``raw`` once at ``minsup_abs`` and mine it with each algorithm
+    in turn: (rendered maximal sets, report) per algorithm. The timed span
+    is the store build and the mine for hybrid, the mine alone otherwise."""
     db, item_map = prune_and_remap(raw, minsup_abs)
     n = len(raw.transactions)
     rel = minsup_abs / n if n else 0.0
-    started = _now_ms()
-    counters, stats = CostCounters(), SearchStats()
-    if algorithm == "hybrid":
-        store = build_hdr(db)
-        config = MinerConfig(minsup=minsup_abs, mode=mode, **config_flags)
-        result = mine_mfi(store, config, counters=counters, stats=stats)
-    elif algorithm == "bitmap":
-        result = mine_bitmap_baseline(db, minsup_abs)
-    elif algorithm == "oracle":
-        result = maximal_filter(enumerate_fi_bruteforce(db, minsup_abs))
-    else:
-        raise CliError(f"unknown algorithm {algorithm!r}")
-    elapsed = _now_ms() - started
-    report = RunReport(
-        dataset="",
-        algorithm=algorithm,
-        minsup_abs=minsup_abs,
-        minsup_rel=rel,
-        mfi_count=len(result),
-        wall_time_ms=elapsed,
-    )
-    if algorithm == "hybrid":
-        report.cells_touched = counters.cells_touched
-        report.nodes_explored = stats.nodes_explored
-    return result, item_map, report
-
-
-def _config_flags(args) -> dict:
-    return {
-        "enable_pep": not args.no_pep,
-        "enable_fhut": not args.no_fhut,
-        "enable_hutmfi": not args.no_hutmfi,
-        "enable_reorder": not args.no_reorder,
-    }
-
-
-def _mine_one(args, algorithm: str, mode: CountMode, config_flags: dict) -> int:
-    """Mine ``args.input`` once, write the rendered sets to ``args.output``
-    and the run summary to stderr."""
-    raw = _load_dataset(args.input)
-    minsup_abs = resolve_minsup(parse_minsup(args.minsup), len(raw.transactions))
-    result, item_map, report = _run_algorithm(algorithm, raw, minsup_abs, mode, config_flags)
-    report.dataset = args.input
-    _write_output(args.output, render_mfi(result, item_map))
-    print(report.summary(), file=sys.stderr)
-    return EXIT_OK
+    runs = []
+    for algorithm in algorithms:
+        started = _now_ms()
+        result, cells, nodes = MINERS[algorithm](db, minsup_abs, args)
+        elapsed = _now_ms() - started
+        report = RunReport(dataset, algorithm, minsup_abs, rel, len(result), elapsed, cells, nodes)
+        runs.append((render_mfi(result, item_map), report))
+    return runs
 
 
 def cmd_mine(args) -> int:
-    return _mine_one(args, args.algorithm, CountMode(args.mode), _config_flags(args))
-
-
-def cmd_oracle(args) -> int:
-    return _mine_one(args, "oracle", CountMode.AUTO, {})
+    raw = _load_dataset(args.input)
+    minsup_abs = resolve_minsup(parse_minsup(args.minsup), len(raw.transactions))
+    text, report = _run_algorithms(args, [args.algorithm], args.input, raw, minsup_abs)[0]
+    _write_output(args.output, text)
+    print(report.summary(), file=sys.stderr)
+    return EXIT_OK
 
 
 def cmd_bench(args) -> int:
@@ -244,29 +218,22 @@ def cmd_bench(args) -> int:
     if not algorithms:
         raise CliError("at least one algorithm is required")
     for a in algorithms:
-        if a not in ("hybrid", "bitmap", "oracle"):
+        if a not in MINERS:
             raise CliError(f"unknown algorithm {a!r}")
     grid = [parse_minsup(m) for m in args.minsup]
     rows: list[list] = []
-    flags = _config_flags(args)
     for dataset in args.datasets:
         raw = _load_dataset(dataset)
         for minsup in grid:
             minsup_abs = resolve_minsup(minsup, len(raw.transactions))
-            outputs: dict[str, str] = {}
-            for algorithm in algorithms:
-                result, item_map, report = _run_algorithm(
-                    algorithm, raw, minsup_abs, CountMode(args.mode), flags
-                )
-                report.dataset = dataset
-                outputs[algorithm] = render_mfi(result, item_map)
-                rows.append(report.csv_row())
-            reference = algorithms[0]
-            differing = [a for a in algorithms if outputs[a] != outputs[reference]]
+            runs = _run_algorithms(args, algorithms, dataset, raw, minsup_abs)
+            rows.extend(report.csv_row() for _, report in runs)
+            reference = runs[0][0]
+            differing = [a for a, (text, _) in zip(algorithms, runs) if text != reference]
             if differing:
                 print(
                     f"error: output mismatch on {dataset} at minsup {minsup_abs}: "
-                    + ", ".join(differing) + f" differ from {reference}",
+                    + ", ".join(differing) + f" differ from {algorithms[0]}",
                     file=sys.stderr,
                 )
                 return EXIT_INTERNAL
@@ -292,7 +259,9 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _add_toggle_flags(parser: argparse.ArgumentParser) -> None:
+def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--mode", choices=["auto", "horizontal", "bitmap"], default="auto",
+                        help="counting mode for the hybrid engine")
     parser.add_argument("--no-pep", action="store_true",
                         help="disable equal-support absorption into the head")
     parser.add_argument("--no-fhut", action="store_true",
@@ -315,18 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("input", help="FIMI file path or gen:TXNS:ITEMS:AVG:SEED")
     mine.add_argument("--minsup", required=True,
                       help="absolute integer >= 1, or relative fraction in (0, 1]")
-    mine.add_argument("--algorithm", choices=["hybrid", "bitmap"], default="hybrid")
-    mine.add_argument("--mode", choices=["auto", "horizontal", "bitmap"], default="auto",
-                      help="counting mode for the hybrid engine")
+    mine.add_argument("--algorithm", choices=list(MINERS), default="hybrid",
+                      help="oracle is exact, for small item universes only")
     mine.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-    _add_toggle_flags(mine)
+    _add_engine_flags(mine)
     mine.set_defaults(func=cmd_mine)
-
-    oracle = sub.add_parser("oracle", help="exact reference miner (small item universes)")
-    oracle.add_argument("input", help="FIMI file path or gen:TXNS:ITEMS:AVG:SEED")
-    oracle.add_argument("--minsup", required=True)
-    oracle.add_argument("-o", "--output", default=None)
-    oracle.set_defaults(func=cmd_oracle)
 
     bench = sub.add_parser("bench", help="time algorithms over a dataset/minsup grid")
     bench.add_argument("datasets", nargs="+",
@@ -334,10 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--minsup", action="append", required=True,
                        help="grid point; repeat the flag for more")
     bench.add_argument("--algorithms", default="hybrid,bitmap",
-                       help="comma-separated subset of hybrid,bitmap,oracle")
-    bench.add_argument("--mode", choices=["auto", "horizontal", "bitmap"], default="auto")
+                       help="comma-separated subset of " + ",".join(MINERS))
     bench.add_argument("--csv", required=True, help="output CSV path")
-    _add_toggle_flags(bench)
+    _add_engine_flags(bench)
     bench.set_defaults(func=cmd_bench)
 
     stats = sub.add_parser("stats", help="describe a dataset")

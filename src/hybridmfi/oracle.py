@@ -9,8 +9,7 @@ with ``mine_mfi`` and ``maximal_filter``, but none of the HdrStore kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable
 
 from .dataset import TransactionDatabase
 from .miner import MfiStore, _items_of
@@ -22,28 +21,12 @@ class CapacityError(RuntimeError):
     """Brute-force enumeration refused: the item universe is too large."""
 
 
-@dataclass(frozen=True)
-class FrequentSet:
-    """Every non-empty frequent itemset with its exact support. Closed
-    downward: each subset of a member is a member, with support at least
-    its superset's."""
-
-    itemsets: list[tuple[frozenset[int], int]]
-
-    def __len__(self) -> int:
-        return len(self.itemsets)
-
-    def __iter__(self) -> Iterator[tuple[frozenset[int], int]]:
-        return iter(self.itemsets)
-
-    def as_dict(self) -> dict[frozenset[int], int]:
-        return dict(self.itemsets)
-
-
-def enumerate_fi_bruteforce(db: TransactionDatabase, minsup: int) -> FrequentSet:
-    """Level-wise enumeration with direct support scans. Subset pruning is a
-    speedup only; every reported support comes from rescanning transactions.
-    Refuses universes above BRUTEFORCE_MAX_ITEMS items."""
+def enumerate_fi_bruteforce(db: TransactionDatabase, minsup: int
+                            ) -> list[tuple[frozenset[int], int]]:
+    """Every non-empty frequent itemset with its exact support, smallest
+    first, by level-wise enumeration with direct support scans. Subset
+    pruning is a speedup only; every reported support comes from rescanning
+    transactions. Refuses universes above BRUTEFORCE_MAX_ITEMS items."""
     if db.item_count > BRUTEFORCE_MAX_ITEMS:
         raise CapacityError(
             f"{db.item_count} items exceeds the {BRUTEFORCE_MAX_ITEMS}-item "
@@ -81,22 +64,18 @@ def enumerate_fi_bruteforce(db: TransactionDatabase, minsup: int) -> FrequentSet
                     found[cand] = s
                     next_level.append(cand)
         level = next_level
-    itemsets = [
+    return [
         (_items_of(mask), s)
         for mask, s in sorted(found.items(), key=lambda kv: (bin(kv[0]).count("1"), kv[0]))
     ]
-    return FrequentSet(itemsets)
 
 
-def maximal_filter(fi: FrequentSet) -> MfiStore:
-    """Keep only the subset-maximal members. Item count is inferred from the
-    largest rank present."""
-    top = 0
-    for items, _ in fi:
-        for x in items:
-            top = max(top, x + 1)
-    store = MfiStore(top)
-    for items, support in sorted(fi, key=lambda kv: -len(kv[0])):
+def maximal_filter(fi: Iterable[tuple[frozenset[int], int]]) -> MfiStore:
+    """Keep only the subset-maximal (itemset, support) pairs. Item count is
+    inferred from the largest rank present."""
+    pairs = sorted(fi, key=lambda kv: -len(kv[0]))
+    store = MfiStore(max((x + 1 for items, _ in pairs for x in items), default=0))
+    for items, support in pairs:
         mask = 0
         for x in items:
             mask |= 1 << x

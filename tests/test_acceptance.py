@@ -58,7 +58,7 @@ def sweep():
         brute_fi = enumerate_fi_bruteforce(db, minsup)
         brute_mfi = maximal_filter(brute_fi).as_dict()
         runs.append(SweepRun(seed, minsup, db, store, mined, baseline,
-                             brute_fi.as_dict(), brute_mfi))
+                             dict(brute_fi), brute_mfi))
     return runs, time.monotonic() - started
 
 

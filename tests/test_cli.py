@@ -1,10 +1,11 @@
+import argparse
 import csv
 import subprocess
 import sys
 
 import pytest
 
-from hybridmfi import MfiStore, cli
+from hybridmfi import MfiStore, cli, prune_and_remap
 
 TINY_MS2_OUTPUT = "1 3 (2)\n2 (2)\n"
 
@@ -113,14 +114,47 @@ def test_oracle_matches_mine(tiny_file, tmp_path):
     oracle_out = tmp_path / "oracle.txt"
     assert cli.main(["mine", str(tiny_file), "--minsup", "2",
                      "-o", str(mine_out)]) == 0
-    assert cli.main(["oracle", str(tiny_file), "--minsup", "2",
+    assert cli.main(["mine", str(tiny_file), "--minsup", "2", "--algorithm", "oracle",
                      "-o", str(oracle_out)]) == 0
     assert oracle_out.read_bytes() == mine_out.read_bytes()
 
 
 def test_oracle_capacity_guard():
     # 30 surviving items exceeds what exhaustive enumeration accepts.
-    assert cli.main(["oracle", "gen:200:30:6:1", "--minsup", "1"]) == 4
+    assert cli.main(["mine", "gen:200:30:6:1", "--minsup", "1",
+                     "--algorithm", "oracle"]) == 4
+
+
+def test_oracle_is_no_subcommand(tiny_file, capsys):
+    assert cli.main(["oracle", str(tiny_file), "--minsup", "2"]) == 2
+    capsys.readouterr()
+
+
+def test_mine_and_bench_accept_the_same_algorithms(tiny_file, tmp_path, capsys):
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    choices = next(a.choices for a in commands.choices["mine"]._actions if a.dest == "algorithm")
+    assert choices == list(cli.MINERS) == ["hybrid", "bitmap", "oracle"]
+    for algorithm in choices:
+        assert cli.main(["bench", str(tiny_file), "--minsup", "2", "--algorithms", algorithm,
+                         "--csv", str(tmp_path / "x.csv")]) == 0
+    assert cli.main(["mine", str(tiny_file), "--minsup", "2", "--algorithm", "quantum"]) == 2
+    assert cli.main(["bench", str(tiny_file), "--minsup", "2", "--algorithms", "quantum",
+                     "--csv", str(tmp_path / "x.csv")]) == 2
+    capsys.readouterr()
+
+
+def test_bench_prunes_once_per_grid_point(tiny_file, tmp_path, monkeypatch):
+    calls = []
+
+    def counting_prune(raw, minsup):
+        calls.append(minsup)
+        return prune_and_remap(raw, minsup)
+
+    monkeypatch.setattr(cli, "prune_and_remap", counting_prune)
+    assert cli.main(["bench", str(tiny_file), "--minsup", "2", "--minsup", "3",
+                     "--algorithms", "hybrid,bitmap,oracle", "--csv", str(tmp_path / "x.csv")]) == 0
+    assert calls == [2, 3]
 
 
 def test_bench_happy_path(tiny_file, tmp_path):

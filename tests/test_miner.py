@@ -119,28 +119,32 @@ def test_pep_absorbs_whole_tail():
 def test_pep_containment_property():
     # Whenever an extension's support equals the head's, every projected
     # transaction contains it, and the extension's child holds exactly the
-    # head's transactions, in either counting mode.
-    from hybridmfi import count_supports, project_vertical
+    # head's transactions, in either counting mode. Each root child is a
+    # head; label 9, planted in every transaction that holds label 2, gives
+    # the head {2} such an extension in every database.
+    from hybridmfi import RawDatabase, count_supports, project_vertical
     from hybridmfi.hdr import _mask_of
 
+    checked = {CountMode.HORIZONTAL: 0, CountMode.BITMAP: 0}
     for seed in range(10):
-        db, _ = prune_and_remap(gen_sparse(30, 8, 3, seed), 2)
-        if db.item_count < 2:
-            continue
+        rows = gen_sparse(30, 8, 3, seed).transactions
+        db, _ = prune_and_remap(RawDatabase([r + (9,) if 2 in r else r for r in rows]), 2)
         store = build_hdr(db)
         root = store.root_pdr()
         tail = list(range(db.item_count))
-        y, y_support, y_txns = count_supports(store, root, tail, CountMode.HORIZONTAL)[0]
-        pdr = project_vertical(store, root, y_txns, y_support)
-        rest = tail[1:]
-        head_support = len(pdr.txns)
-        mask = _mask_of(pdr.txns, store.txn_count)
-        for mode, same in ((CountMode.HORIZONTAL, list(pdr.txns)), (CountMode.BITMAP, mask)):
-            for x, s, child in count_supports(store, pdr, rest, mode):
-                if s == head_support:
-                    assert all(x in db.transactions[t] for t in pdr.txns)
-                    assert child == same
-        assert pdr.txns is y_txns  # neither count changed the Pdr
+        for i, (y, y_support, y_txns) in enumerate(
+                count_supports(store, root, tail, CountMode.HORIZONTAL)):
+            pdr = project_vertical(store, root, y_txns, y_support)
+            head_support = len(pdr.txns)
+            mask = _mask_of(pdr.txns, store.txn_count)
+            for mode, same in ((CountMode.HORIZONTAL, list(pdr.txns)), (CountMode.BITMAP, mask)):
+                for x, s, child in count_supports(store, pdr, tail[i + 1:], mode):
+                    if s == head_support:
+                        assert all(x in db.transactions[t] for t in pdr.txns)
+                        assert child == same
+                        checked[mode] += 1
+            assert pdr.txns is y_txns  # neither count changed the Pdr
+    assert min(checked.values()) >= 10, checked  # the planted one per seed, at least
 
 
 def test_reorder_explores_ascending_support_first():

@@ -5,7 +5,6 @@ import pytest
 from hybridmfi import (
     BRUTEFORCE_MAX_ITEMS,
     CapacityError,
-    FrequentSet,
     MinerConfig,
     build_hdr,
     enumerate_fi_bruteforce,
@@ -59,7 +58,7 @@ def test_bruteforce_rejects_bad_minsup(tiny_raw):
 def test_bruteforce_is_downward_closed():
     for seed in range(10):
         db, _ = prune_and_remap(gen_sparse(25, 8, 3, seed), 2)
-        fi = enumerate_fi_bruteforce(db, 2).as_dict()
+        fi = dict(enumerate_fi_bruteforce(db, 2))
         for ranks in fi:
             for k in range(1, len(ranks)):
                 for sub in itertools.combinations(sorted(ranks), k):
@@ -73,11 +72,12 @@ def test_maximal_filter_tiny_db(tiny_raw):
 
 
 def test_maximal_filter_empty():
-    assert len(maximal_filter(FrequentSet([]))) == 0
+    assert len(maximal_filter([])) == 0
 
 
 def test_maximal_filter_single_itemset():
-    mfi = maximal_filter(FrequentSet([(frozenset({3}), 7)]))
+    # Any iterable of pairs, read once.
+    mfi = maximal_filter(iter([(frozenset({3}), 7)]))
     assert mfi.as_dict() == {frozenset({3}): 7}
 
 
@@ -95,7 +95,7 @@ def test_maximal_sets_cover_all_frequent_sets():
         for m in maximal:
             for k in range(1, len(m) + 1):
                 rebuilt.update(frozenset(c) for c in itertools.combinations(m, k))
-        assert rebuilt == set(fi.as_dict())
+        assert rebuilt == set(dict(fi))
 
 
 def test_baseline_tiny_db(tiny_raw):

@@ -60,5 +60,13 @@ def test_readme_matches_cli():
     cli_text = "\n".join(line for line in text.splitlines() if "pip install" not in line)
     shown = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", cli_text))
     assert shown
-    unknown = shown - _option_strings(cli.build_parser())
+    parser = cli.build_parser()
+    unknown = shown - _option_strings(parser)
     assert not unknown, f"README shows options the CLI rejects: {sorted(unknown)}"
+    commands = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            commands |= set(action.choices)
+    run = set(re.findall(r"(?m)^hybridmfi (\S+)", text))
+    assert run
+    assert not run - commands, f"README runs subcommands the CLI lacks: {sorted(run - commands)}"
