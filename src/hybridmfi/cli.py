@@ -40,8 +40,9 @@ EXIT_INTERNAL = 3
 EXIT_GUARD = 4
 
 
-class CliError(Exception):
-    """Input problem an operator can fix; maps to exit code 2."""
+class CliError(ValueError):
+    """Input problem an operator can fix; maps to exit code 2, as does any
+    ValueError the library raises on bad input."""
 
 
 @dataclass
@@ -137,10 +138,7 @@ def _load_dataset(spec: str) -> RawDatabase:
             n_txns, n_items, avg_len, seed = (int(f) for f in fields)
         except ValueError:
             raise CliError(f"generator spec fields must be integers: {spec!r}") from None
-        try:
-            return gen_sparse(n_txns, n_items, avg_len, seed)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        return gen_sparse(n_txns, n_items, avg_len, seed)
     try:
         return read_fimi(spec)
     except OSError as exc:
@@ -316,9 +314,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

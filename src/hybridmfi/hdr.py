@@ -71,18 +71,18 @@ def _mask_of(indices: Sequence[int], width: int) -> int:
 
 
 class TidMask:
-    """A node's transactions as one bitmask over transaction indices, with
-    its population stored so ``len`` needs no extraction. Iterating yields
-    the indices in ascending order."""
+    """A node's transactions as one bitmask over transaction indices: bit t
+    is set iff the node holds transaction t. ``len`` is the popcount; the
+    miner never takes it, since a mask node is counted by bitmap whatever
+    its size. Iterating yields the indices in ascending order."""
 
-    __slots__ = ("bits", "size")
+    __slots__ = ("bits",)
 
-    def __init__(self, bits: int, size: int):
+    def __init__(self, bits: int):
         self.bits = bits
-        self.size = size
 
     def __len__(self) -> int:
-        return self.size
+        return self.bits.bit_count()
 
     def __iter__(self) -> Iterator[int]:
         return iter(_indices(self.bits))
@@ -91,10 +91,10 @@ class TidMask:
 @dataclass(slots=True, frozen=True)
 class Pdr:
     """A node's projection: the transactions containing its head, as an
-    ascending index sequence or a TidMask. The sequence is the root's range,
-    one of the store's ``item_txns`` arrays or a list a horizontal count
-    delivered, so neither the Pdr (frozen) nor its sequence is ever
-    mutated."""
+    ascending index sequence or a TidMask of a bitmap count's child. The
+    sequence is the root's range, one of the store's ``item_txns`` arrays or
+    a list a horizontal count delivered, so neither the Pdr (frozen) nor its
+    sequence is ever mutated."""
 
     txns: Sequence[int] | TidMask
 
@@ -102,12 +102,13 @@ class Pdr:
 @dataclass(slots=True, eq=False)
 class HdrStore:
     """The hybrid layout. Horizontal: ``db.transactions[t]`` is transaction
-    t's ascending rank tuple, ``row_cells[t]`` its length, and
-    ``cell_count`` the total number of item occurrences (cells) across
-    them. Vertical: ``item_txns[x]`` is the ascending sequence of the
-    transactions containing rank x, packed in an ``array('i')`` (4 bytes a
-    cell), and ``item_tidmask[x]`` is the same set as a bitmask over
-    transaction indices (None until ``tidmask(x)`` first builds it).
+    t's ascending rank tuple and ``row_cells[t]`` its length, which
+    ``select_mode`` sums over a node's transactions faster than it could
+    take each row's ``len``. Vertical: ``item_txns[x]`` is the ascending
+    sequence of the transactions containing rank x, packed in an
+    ``array('i')`` (4 bytes a cell), and ``item_tidmask[x]`` is the same set
+    as a bitmask over transaction indices (None until ``tidmask(x)`` first
+    builds it).
 
     ``build_hdr`` fixes everything but ``item_tidmask``, whose entries are
     filled once each, on first use, from ``item_txns``. A filled entry never
@@ -116,10 +117,14 @@ class HdrStore:
     between concurrent mining runs."""
 
     db: TransactionDatabase
-    cell_count: int
     row_cells: list[int]
     item_txns: list[array]
     item_tidmask: list[int | None]
+
+    @property
+    def cell_count(self) -> int:
+        """Item occurrences (cells) across all rows."""
+        return sum(self.row_cells)
 
     @property
     def item_count(self) -> int:
@@ -164,8 +169,7 @@ def build_hdr(db: TransactionDatabase) -> HdrStore:
         packed = t.to_bytes(_TXN_BYTES, byteorder)
         for x in txn:
             fills[x](packed)
-    row_cells = list(map(len, db.transactions))
-    return HdrStore(db, sum(row_cells), row_cells, item_txns, [None] * db.item_count)
+    return HdrStore(db, list(map(len, db.transactions)), item_txns, [None] * db.item_count)
 
 
 # Kernel costs in nanoseconds, fitted as select_mode records.
@@ -179,9 +183,10 @@ def select_mode(store: HdrStore, pdr: Pdr, tail_size: int) -> CountMode:
     is counted by bitmap, and a sequence Pdr holding every transaction
     horizontally, from the item arrays with no scan. For any other sequence
     Pdr, with n store transactions, c row cells summed over the Pdr's
-    transactions and k tail items, horizontal costs 1700 + 33 c + 200 k ns
-    and bitmap 1600 + (150 + 0.083 n) k ns, plus 3.1 n + 41 |pdr| to build
-    the Pdr's mask.
+    transactions and k tail items, horizontal costs ``_HORIZONTAL_NS``
+    per call, per c and per k, and bitmap ``_BITMAP_NS`` per call, per k
+    and per k·n, plus ``_BUILD_NS`` per n and per |pdr| to build the Pdr's
+    mask.
 
     ``tools/fit_count_switch.py`` fitted each term by least squares on
     relative error to its kernel's timings on 801 search nodes sampled from
@@ -212,14 +217,14 @@ def count_supports(store: HdrStore, pdr: Pdr, tail, mode: CountMode = CountMode.
     appends each transaction to the list of every tail item its row holds
     and returns the lists; a Pdr holding every transaction returns the
     store's ``item_txns`` arrays, with no scan. Bitmap mode ANDs the Pdr's
-    mask (built here from a sequence Pdr, all ones for one holding every
-    transaction) with each tail item's mask and returns the int masks, but
-    None for a child below the minsup the database was pruned at, which no
-    mine of the store can branch on: every mask spans the whole database,
-    so a wide node's infrequent masks are freed as soon as they are
-    popcounted, as ``mine_bitmap_baseline`` frees them. A mask Pdr counted
-    horizontally raises ValueError. The Pdr is never changed. Both modes
-    give identical supports and bill identical work."""
+    mask (built here from a sequence Pdr) with each tail item's mask and
+    returns the int masks, but None for a child below the minsup the
+    database was pruned at, which no mine of the store can branch on: every
+    mask spans the whole database, so a wide node's infrequent masks are
+    freed as soon as they are popcounted, as ``mine_bitmap_baseline`` frees
+    them. A mask Pdr counted horizontally raises ValueError. The Pdr is
+    never changed. Both modes give identical supports and bill identical
+    work."""
     if mode is CountMode.AUTO:
         mode = select_mode(store, pdr, len(tail))
     txns = pdr.txns
@@ -242,12 +247,7 @@ def count_supports(store: HdrStore, pdr: Pdr, tail, mode: CountMode = CountMode.
         children = [(y, len(delivered[y]), delivered[y]) for y in tail]
     else:
         n = store.txn_count
-        if isinstance(txns, TidMask):
-            bits = txns.bits
-        elif len(txns) == n:
-            bits = (1 << n) - 1
-        else:
-            bits = _mask_of(txns, n)
+        bits = txns.bits if isinstance(txns, TidMask) else _mask_of(txns, n)
         tidmask, minsup = store.tidmask, store.db.minsup
         children = []
         for y in tail:
@@ -259,14 +259,12 @@ def count_supports(store: HdrStore, pdr: Pdr, tail, mode: CountMode = CountMode.
     return children
 
 
-def project_vertical(store: HdrStore, parent: Pdr, txns: Sequence[int] | int,
-                     support: int) -> Pdr:
+def project_vertical(store: HdrStore, parent: Pdr, txns: Sequence[int] | int) -> Pdr:
     """The Pdr of a child ``count_supports`` returned for ``parent``: a
-    sequence as it is, a mask with its support as its population. The store
-    and the parent go unread; the benchmark's span recorder
-    (perfbench/spans.py) tells root projections from scan projections by
-    them."""
-    return Pdr(TidMask(txns, support) if isinstance(txns, int) else txns)
+    sequence as it is, a mask as a TidMask. The store and the parent go
+    unread; the benchmark's span recorder (perfbench/spans.py) tells root
+    projections from scan projections by them."""
+    return Pdr(TidMask(txns) if isinstance(txns, int) else txns)
 
 
 def verify_counts(store: HdrStore, pdr: Pdr, tail,
@@ -274,12 +272,12 @@ def verify_counts(store: HdrStore, pdr: Pdr, tail,
     """Debug oracle: recompute tail supports three independent ways (a
     rescan of the rows the horizontal kernel reads, per-item transaction
     sequences, AND and popcount of the item masks) and check that every
-    item's transaction sequence is strictly ascending, that the Pdr's stored
-    size matches its transactions and that each of ``children``, as
-    ``count_supports`` returns them, is in tail order with its item's
-    support and, as a sequence or a mask, exactly the Pdr's transactions
-    whose rows hold its item (None only below the database's prune minsup).
-    True only if everything agrees. Slow by design; never used on the mining
+    item's transaction sequence is strictly ascending, that the Pdr holds no
+    transaction twice and that each of ``children``, as ``count_supports``
+    returns them, is in tail order with its item's support and, as a
+    sequence or a mask, exactly the Pdr's transactions whose rows hold its
+    item (None only below the database's prune minsup). True only if
+    everything agrees. Slow by design; never used on the mining
     hot path."""
     rows, tail_set = store.db.transactions, set(tail)
     txns = list(pdr.txns)

@@ -189,7 +189,8 @@ def mine_mfi(
 
     # One frame per branching node:
     # [head, children, items of the children not yet entered, pdr, view,
-    #  next child, all_frequent, first_proved]
+    #  next child, proved]: proved is "no tail item was dropped", ANDed with
+    # child 0's result once it returns; FHUT reads only the two together.
     stack: list[list] = []
 
     def enter(head: int, head_support: int, tail: list[int], pdr: Pdr,
@@ -220,7 +221,7 @@ def mine_mfi(
         later = 0
         for child in children:
             later |= 1 << child[0]
-        stack.append([head, children, later, pdr, view, 0, all_frequent, False])
+        stack.append([head, children, later, pdr, view, 0, all_frequent])
         return None
 
     nodes = 1  # the root; each generated child adds one below
@@ -228,15 +229,15 @@ def mine_mfi(
                    store.root_pdr(), LmfiView(mfi, 0, 0))
     while stack:
         frame = stack[-1]
-        head, children, later, pdr, view, i, all_frequent, first_proved = frame
+        head, children, later, pdr, view, i, frame_proved = frame
         if proved is not None:  # child i - 1 just finished
             if i == 1:
-                first_proved = frame[7] = proved
+                frame_proved = frame[6] = frame_proved and proved
             # FHUT: once the leftmost subtree proves head∪tail frequent and
             # covered, the other children cannot reach a new maximal set.
-            if (use_fhut and all_frequent and first_proved) or i == len(children):
+            if (use_fhut and frame_proved) or i == len(children):
                 stack.pop()
-                proved = all_frequent and first_proved
+                proved = frame_proved
                 continue
         frame[5] = i + 1
         nodes += 1
@@ -248,7 +249,7 @@ def mine_mfi(
             proved = True  # generated, dismissed before any counting
             continue
         tail = [entry[0] for entry in children[i + 1:]]
-        child_pdr = project_vertical(store, pdr, child_txns, x_support)
+        child_pdr = project_vertical(store, pdr, child_txns)
         proved = enter(child_head, x_support, tail, child_pdr, child_view)
 
     if stats is not None:

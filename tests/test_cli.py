@@ -90,9 +90,13 @@ def test_mine_rejects_non_decimal_label(tmp_path, capsys, token):
     assert "line 2" in capsys.readouterr().err
 
 
-def test_mine_rejects_bad_gen_spec():
+def test_mine_rejects_bad_gen_spec(capsys):
     assert cli.main(["mine", "gen:10:5:2", "--minsup", "1"]) == 2
     assert cli.main(["mine", "gen:10:5:2:a", "--minsup", "1"]) == 2
+    capsys.readouterr()
+    # The generator's own ValueError reaches the operator as it is.
+    assert cli.main(["mine", "gen:10:0:1:1", "--minsup", "1"]) == 2
+    assert capsys.readouterr().err == "error: n_items must be >= 1, got 0\n"
 
 
 def test_mine_counters_go_to_stderr(tiny_file, capsys):

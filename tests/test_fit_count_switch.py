@@ -46,7 +46,7 @@ def test_sampled_nodes_runs_on_a_tiny_database():
         # Each node is timed horizontally as a list and by bitmap as a mask;
         # both return the same supports and the same children, but for the
         # masks of children below the prune minsup, which are dropped.
-        mask = Pdr(TidMask(_mask_of(txns, store.txn_count), len(txns)))
+        mask = Pdr(TidMask(_mask_of(txns, store.txn_count)))
         horizontal = count_supports(store, Pdr(txns), tail, CountMode.HORIZONTAL)
         bitmap = count_supports(store, mask, tail, CountMode.BITMAP)
         assert [(y, s) for y, s, _ in horizontal] == [(y, s) for y, s, _ in bitmap]

@@ -31,7 +31,6 @@ from hybridmfi.hdr import _mask_of
 def clone_store(store):
     return HdrStore(
         copy.deepcopy(store.db),
-        store.cell_count,
         list(store.row_cells),
         [copy.copy(txns) for txns in store.item_txns],
         list(store.item_tidmask),
@@ -46,8 +45,8 @@ def supports(children):
 def project(store, parent, y, mode=CountMode.HORIZONTAL):
     """The child of ``parent`` on item y, as mine_mfi builds it: the
     transactions a count of the parent over a tail holding y returned."""
-    [(_, support, txns)] = count_supports(store, parent, [y], mode)
-    return project_vertical(store, parent, txns, support)
+    [(_, _, txns)] = count_supports(store, parent, [y], mode)
+    return project_vertical(store, parent, txns)
 
 
 def test_build_vertical_chain(tiny_ms2):
@@ -167,8 +166,8 @@ def test_select_mode_examples():
     # be scanned (20 rows under a 50-item tail), and even holding every row.
     wide = store(100_000, 5, 20)
     assert select_mode(wide, Pdr(list(range(20))), 50) is CountMode.HORIZONTAL
-    assert select_mode(wide, Pdr(TidMask((1 << 20) - 1, 20)), 50) is CountMode.BITMAP
-    assert select_mode(store(5), Pdr(TidMask(0b11111, 5)), 1) is CountMode.BITMAP
+    assert select_mode(wide, Pdr(TidMask((1 << 20) - 1)), 50) is CountMode.BITMAP
+    assert select_mode(store(5), Pdr(TidMask(0b11111)), 1) is CountMode.BITMAP
 
 
 def test_auto_counts_dense_root_children_as_masks():
@@ -183,7 +182,7 @@ def test_auto_counts_dense_root_children_as_masks():
     assert all(txns is store.item_txns[y] for y, _, txns in counted)
     counted.sort(key=lambda entry: (entry[1], entry[0]))
     for i, (y, support, txns) in enumerate(counted[:-1]):
-        child = project_vertical(store, root, txns, support)
+        child = project_vertical(store, root, txns)
         grand = count_supports(store, child, [entry[0] for entry in counted[i + 1:]])
         assert all(type(g) is int if s >= 350 else g is None for _, s, g in grand), y
         assert child.txns is txns
@@ -260,8 +259,8 @@ def test_count_auto_resolves_per_call(tiny_ms1):
     child = project(store, root, 2, CountMode.BITMAP)
     children = count_supports(store, child, [0, 1, 3, 4], CountMode.AUTO, counters)
     assert supports(children) == {0: 2, 1: 1, 3: 0, 4: 1}
-    _, support, txns = children[0]
-    grand = project_vertical(store, child, txns, support)
+    _, _, txns = children[0]
+    grand = project_vertical(store, child, txns)
     children = count_supports(store, grand, [4], CountMode.AUTO, counters)
     assert supports(children) == {4: 1} and type(children[0][2]) is int
     assert isinstance(child.txns, TidMask) and isinstance(grand.txns, TidMask)
@@ -273,7 +272,7 @@ def test_count_horizontal_rejects_a_mask(tiny_ms1):
     # names the mode to use instead.
     _, _, store = tiny_ms1
     root = store.root_pdr()
-    for pdr in (Pdr(TidMask(0b11111, 5)), project(store, root, 2, CountMode.BITMAP)):
+    for pdr in (Pdr(TidMask(0b11111)), project(store, root, 2, CountMode.BITMAP)):
         txns = pdr.txns
         with pytest.raises(ValueError, match="count it in bitmap or auto mode"):
             count_supports(store, pdr, [0, 1], CountMode.HORIZONTAL)
@@ -294,9 +293,9 @@ def test_project_from_root_uses_ascending_txns(tiny_ms2):
     _, _, store = tiny_ms2
     child = project(store, store.root_pdr(), 0)
     assert list(child.txns) == [0, 2, 4] and child.txns is store.item_txns[0]
-    (_, _, first), (_, support, second) = count_supports(store, child, [1, 2],
-                                                         CountMode.HORIZONTAL)
-    grand = project_vertical(store, child, second, support)
+    (_, _, first), (_, _, second) = count_supports(store, child, [1, 2],
+                                                   CountMode.HORIZONTAL)
+    grand = project_vertical(store, child, second)
     assert grand.txns == [2, 4] and grand.txns is second and first == [0]
 
 
@@ -341,9 +340,9 @@ def test_project_leaves_parent_untouched(tiny_ms2):
         before = list(txns)
         children = count_supports(store, parent, [0, 1], mode)
         assert [type(child) for _, _, child in children] == kinds
-        for _, support, child in children:
+        for _, _, child in children:
             if child is not None:
-                project_vertical(store, parent, child, support)
+                project_vertical(store, parent, child)
         assert parent.txns is txns and list(txns) == before == [1, 2, 3, 4]
         assert type(txns) is array and parent == Pdr(array("i", before))
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -356,7 +355,12 @@ def test_root_pdr_cells_is_cell_count(tiny_ms1):
     root = store.root_pdr()
     assert list(root.txns) == list(range(store.txn_count))
     assert sum(store.row_cells[t] for t in root.txns) == store.cell_count == 11
+    # The store and the Pdrs keep only state the engine reads and cannot
+    # derive: the cell total is a property, a mask's size its popcount.
     assert [field.name for field in dataclasses.fields(root)] == ["txns"]
+    assert [field.name for field in dataclasses.fields(HdrStore)] == \
+        ["db", "row_cells", "item_txns", "item_tidmask"]
+    assert TidMask.__slots__ == ("bits",)
 
 
 def test_mode_independence_on_random_nodes():
@@ -400,10 +404,10 @@ def test_mode_independence_on_random_nodes():
             choices = [c for c in (horizontal if keep_list else bitmap) if c[2] is not None]
             if not choices:
                 break
-            y, s, child = rng.choice(choices)
+            y, _, child = rng.choice(choices)
             tail = [x for x in tail if x != y]
             path.add(y)
-            pdr = project_vertical(store, pdr, child, s)
+            pdr = project_vertical(store, pdr, child)
             born.add(type(pdr.txns))
             step += 1
     assert born == {array, list, TidMask}
@@ -419,7 +423,7 @@ def test_projection_support_identity():
         pdr = store.root_pdr()
         tail = list(range(db.item_count))
         for y, support, txns in count_supports(store, pdr, tail, CountMode.BITMAP):
-            child = project_vertical(store, pdr, txns, support)
+            child = project_vertical(store, pdr, txns)
             # The root was counted in bitmap mode, so the child is a mask.
             assert isinstance(child.txns, TidMask)
             listed = list(child.txns)
@@ -503,16 +507,12 @@ def test_verify_counts_catches_wrong_item(tiny_ms2):
 
 
 def test_verify_counts_catches_wrong_bitmap(tiny_ms2):
-    # A mask child is checked as a mask: its transactions come from its bits
-    # and its size from the stored count, with no list to fall back on.
+    # A mask child is checked as a mask: its transactions come from its
+    # bits, with no list to fall back on.
     _, _, store = tiny_ms2
     child = project(store, store.root_pdr(), 1, CountMode.BITMAP)  # label 2: txns 0, 3
     assert supports(count_supports(store, child, [2])) == {2: 1}
     assert isinstance(child.txns, TidMask) and verify_counts(store, child, [2])
-    claims_txn_1 = Pdr(TidMask(child.txns.bits | 1 << 1, child.txns.size))
-    assert not verify_counts(store, claims_txn_1, [2])
-    wrong_size = Pdr(TidMask(0b1001, 3))  # the right bits, a wrong stored size
-    assert not verify_counts(store, wrong_size, [2])
 
 
 def test_verify_counts_catches_wrong_delivered_list(tiny_ms2):
@@ -527,7 +527,7 @@ def test_verify_counts_catches_wrong_delivered_list(tiny_ms2):
         children = count_supports(store, child, tail, mode)
         assert verify_counts(store, child, tail, children)
         (y, support, txns), second = children
-        assert (y, support, list(project_vertical(store, child, txns, support).txns)) == \
+        assert (y, support, list(project_vertical(store, child, txns).txns)) == \
             (0, 2, [2, 4])
         dropped = txns[1:] if mode is CountMode.HORIZONTAL else txns & ~(1 << 2)
         assert not verify_counts(store, child, tail, [(y, support, dropped), second])

@@ -132,9 +132,9 @@ def test_pep_containment_property():
         store = build_hdr(db)
         root = store.root_pdr()
         tail = list(range(db.item_count))
-        for i, (y, y_support, y_txns) in enumerate(
+        for i, (y, _, y_txns) in enumerate(
                 count_supports(store, root, tail, CountMode.HORIZONTAL)):
-            pdr = project_vertical(store, root, y_txns, y_support)
+            pdr = project_vertical(store, root, y_txns)
             head_support = len(pdr.txns)
             mask = _mask_of(pdr.txns, store.txn_count)
             for mode, same in ((CountMode.HORIZONTAL, list(pdr.txns)), (CountMode.BITMAP, mask)):

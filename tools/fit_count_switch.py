@@ -20,9 +20,8 @@ the pooled fit, to two significant digits.
 
 from __future__ import annotations
 
-import gc
 import statistics
-import time
+import timeit
 from typing import Sequence
 
 import hybridmfi.miner
@@ -40,18 +39,9 @@ ROUNDS = 3
 
 
 def best_ns(fn, repeat: int = 7) -> float:
-    """Best of ``repeat`` timings with the garbage collector off, as
-    timeit takes them."""
-    best = float("inf")
-    gc.disable()
-    try:
-        for _ in range(repeat):
-            started = time.perf_counter_ns()
-            fn()
-            best = min(best, time.perf_counter_ns() - started)
-    finally:
-        gc.enable()
-    return best
+    """Best of ``repeat`` single-call timings in ns; timeit turns the
+    garbage collector off while it times."""
+    return min(timeit.repeat(fn, number=1, repeat=repeat)) * 1e9
 
 
 def fit(features: list[tuple[float, ...]], times: list[float]) -> list[float]:
@@ -114,7 +104,7 @@ def time_round(nodes) -> dict[str, tuple[list, list]]:
     for store, txns, tail in nodes:
         n, rows = store.txn_count, store.db.transactions
         cells = sum(len(rows[t]) for t in txns)
-        mask = TidMask(_mask_of(txns, n), len(txns))
+        mask = TidMask(_mask_of(txns, n))
         record("horizontal", (1, cells, len(tail)), best_ns(
             lambda: count_supports(store, Pdr(txns), tail, CountMode.HORIZONTAL)))
         record("bitmap", (1, len(tail), len(tail) * n), best_ns(
