@@ -23,7 +23,6 @@ from .hdr import (
     count_supports,
     project_vertical,
     select_mode,
-    verify_counts,
 )
 from .miner import (
     LmfiView,
@@ -62,7 +61,6 @@ __all__ = [
     "count_supports",
     "project_vertical",
     "select_mode",
-    "verify_counts",
     "LmfiView",
     "MfiStore",
     "MinerConfig",

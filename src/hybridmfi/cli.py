@@ -19,13 +19,14 @@ import re
 import sys
 import time
 from dataclasses import dataclass, fields
+from itertools import chain
+from operator import sub
 
 from .dataset import (
     FimiParseError,
     ItemMap,
     RawDatabase,
     TransactionDatabase,
-    atl,
     gen_sparse,
     prune_and_remap,
     read_fimi,
@@ -115,12 +116,12 @@ def resolve_minsup(value: int | float, n_transactions: int) -> int:
 
 
 def render_mfi(store: MfiStore, item_map: ItemMap) -> str:
-    rows = []
-    for ranks, support in store:
-        labels = tuple(item_map.labels_of(ranks))
-        rows.append((labels, support))
-    rows.sort()
-    return "".join(f"{' '.join(map(str, labels))} ({support})\n" for labels, support in rows)
+    """The canonical text of a mined store. Ranks ascend with labels, so a
+    set's ascending ranks name its labels in ascending order, and sorting
+    the sets by rank tuple sorts them as label sequences."""
+    name = list(map(str, item_map.label_of_rank)).__getitem__
+    return "".join([f"{' '.join(map(name, ranks))} ({support})\n"
+                    for ranks, support in sorted(store.rank_tuples())])
 
 
 def _now_ms() -> int:
@@ -184,14 +185,17 @@ MINERS = {
 }
 
 
-def _run_algorithms(args, algorithms: list[str], dataset: str, raw: RawDatabase,
-                    minsup_abs: int) -> list[tuple[str, RunReport]]:
-    """Prune ``raw`` once at ``minsup_abs`` and mine it with each algorithm
-    in turn: (rendered maximal sets, report) per algorithm. The timed span
-    is the store build and the mine for hybrid, the mine alone otherwise."""
-    db, item_map = prune_and_remap(raw, minsup_abs)
-    n = len(raw.transactions)
-    rel = minsup_abs / n if n else 0.0
+def _run_algorithms(args, algorithms: list[str], dataset: str,
+                    pruned: tuple[TransactionDatabase, ItemMap],
+                    n_transactions: int) -> list[tuple[str, RunReport]]:
+    """Mine a database pruned at the run's minsup with each algorithm in
+    turn: (rendered maximal sets, report) per algorithm. ``n_transactions``
+    is the raw database's row count, which the relative minsup is reported
+    against. The timed span is the store build and the mine for hybrid, the
+    mine alone otherwise."""
+    db, item_map = pruned
+    minsup_abs = db.minsup
+    rel = minsup_abs / n_transactions if n_transactions else 0.0
     runs = []
     for algorithm in algorithms:
         started = _now_ms()
@@ -204,8 +208,10 @@ def _run_algorithms(args, algorithms: list[str], dataset: str, raw: RawDatabase,
 
 def cmd_mine(args) -> int:
     raw = _load_dataset(args.input)
-    minsup_abs = resolve_minsup(parse_minsup(args.minsup), len(raw.transactions))
-    text, report = _run_algorithms(args, [args.algorithm], args.input, raw, minsup_abs)[0]
+    n = len(raw)
+    pruned = prune_and_remap(raw, resolve_minsup(parse_minsup(args.minsup), n))
+    del raw  # the raw rows are not read again; free them before the mine
+    text, report = _run_algorithms(args, [args.algorithm], args.input, pruned, n)[0]
     _write_output(args.output, text)
     print(report.summary(), file=sys.stderr)
     return EXIT_OK
@@ -222,9 +228,10 @@ def cmd_bench(args) -> int:
     rows: list[list] = []
     for dataset in args.datasets:
         raw = _load_dataset(dataset)
+        n = len(raw)
         for minsup in grid:
-            minsup_abs = resolve_minsup(minsup, len(raw.transactions))
-            runs = _run_algorithms(args, algorithms, dataset, raw, minsup_abs)
+            minsup_abs = resolve_minsup(minsup, n)
+            runs = _run_algorithms(args, algorithms, dataset, prune_and_remap(raw, minsup_abs), n)
             rows.extend(report.csv_row() for _, report in runs)
             reference = runs[0][0]
             differing = [a for a, (text, _) in zip(algorithms, runs) if text != reference]
@@ -248,10 +255,11 @@ def cmd_bench(args) -> int:
 
 def cmd_stats(args) -> int:
     raw = _load_dataset(args.input)
-    lengths = [len(txn) for txn in raw.transactions]
+    n, ends = len(raw), raw.ends
+    lengths = list(map(sub, ends, chain((0,), ends)))
     print(f"Items={len(raw.supports)}")
-    print(f"Records={len(raw.transactions)}")
-    print(f"Average Length={atl(raw.transactions):g}")
+    print(f"Records={n}")
+    print(f"Average Length={len(raw.cells) / n if n else 0:g}")
     print(f"Min Length={min(lengths) if lengths else 0}")
     print(f"Max Length={max(lengths) if lengths else 0}")
     return EXIT_OK

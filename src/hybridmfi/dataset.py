@@ -1,24 +1,26 @@
 """Transaction database loading, pruning, and synthesis.
 
-A database is a list of rows, each an immutable ascending tuple of ints.
-Cells share their ints (the parser converts each distinct token once, and a
-rank is one int per item), so a cell costs one pointer and not an int object
-of its own. A :class:`RawDatabase` carries item labels exactly as read from
-disk; mining operates on a rank-remapped :class:`TransactionDatabase` where
-the surviving frequent items form the dense range ``[0, item_count)`` and
-ranks preserve ascending label order.
+A :class:`RawDatabase` carries item labels exactly as read from disk, laid
+out flat: one list of every row's labels end to end and a packed array of
+where each row ends. Mining operates on a rank-remapped
+:class:`TransactionDatabase`, a list of rows, each an immutable ascending
+tuple of ranks, where the surviving frequent items form the dense range
+``[0, item_count)`` and ranks preserve ascending label order. Cells share
+their ints (the parser converts each distinct token once, and a rank is one
+int per item), so a cell costs one pointer and not an int object of its own.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 _MAX_LABEL = 0xFFFFFFFF
 
@@ -38,27 +40,61 @@ class FimiParseError(ValueError):
         self.line_no = line_no
 
 
+# Row ends are packed as unsigned C ints, so a database holds below 2**32
+# cells; array.append raises OverflowError past that.
+_END_TYPECODE = "I"
+
+
 @dataclass(frozen=True)
 class RawDatabase:
-    """Transactions as ingested: sorted, deduplicated label tuples.
+    """Transactions as ingested, laid out flat: transaction t is
+    ``cells[ends[t - 1]:ends[t]]`` (from 0 when t is 0), its labels sorted
+    and deduplicated. ``cells`` is a list, so a cell is one pointer to the
+    int its label shares with every other cell of that label, and ``ends``
+    packs 4 bytes a transaction; no tuple is kept per row.
 
-    The list is immutable by convention after construction, its rows by
-    type, so the label supports are counted once and kept. Empty
-    transactions are permitted here; they disappear at the pruning stage.
-    """
+    Both are immutable by convention after construction, so the label
+    supports are counted once and kept. Empty transactions are permitted
+    here; they disappear at the pruning stage."""
 
-    transactions: list[tuple[int, ...]]
+    cells: list[int]
+    ends: array
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Iterable[int]]) -> RawDatabase:
+        """The database whose transactions are ``rows``, each sorted and
+        deduplicated."""
+        cells: list[int] = []
+        ends = array(_END_TYPECODE)
+        for row in rows:
+            cells.extend(sorted(set(row)))
+            ends.append(len(cells))
+        return cls(cells, ends)
+
+    def __len__(self) -> int:
+        """Number of transactions, the empty ones included."""
+        return len(self.ends)
+
+    def _slices(self) -> Iterator[list[int]]:
+        cells, start = self.cells, 0
+        for end in self.ends:
+            yield cells[start:end]
+            start = end
+
+    def rows(self) -> Iterator[tuple[int, ...]]:
+        """Each transaction in turn as a label tuple, made as it is reached."""
+        return map(tuple, self._slices())
 
     # Cached as a plain dict, so the database still copies and pickles; a
     # mappingproxy does neither.
     @cached_property
     def _support_counts(self) -> dict[int, int]:
-        return dict(Counter(chain.from_iterable(self.transactions)))
+        return dict(Counter(self.cells))
 
     @property
     def supports(self) -> Mapping[int, int]:
         """Number of transactions containing each label: a read-only view
-        of counts made on first use, in one pass over every cell."""
+        of counts made on first use, in one pass over the cells."""
         return MappingProxyType(self._support_counts)
 
 
@@ -106,7 +142,6 @@ def parse_fimi(text: str | bytes) -> RawDatabase:
     with that token shares one int."""
     if isinstance(text, str):
         text = text.encode("utf-8", "surrogatepass")
-    transactions: list[tuple[int, ...]] = []
     # The bytes methods are ASCII-only: lines end only at \n or \r, tokens
     # split only on ASCII whitespace, and a label is a run of ASCII digits.
     # The str methods and int() would also take Unicode spaces and line
@@ -114,6 +149,8 @@ def parse_fimi(text: str | bytes) -> RawDatabase:
     # one by one only if the buffer holds some other byte, so the first bad
     # line is still the one reported.
     check_lines = bool(text.translate(None, _FIMI_BYTES))
+    cells: list[int] = []
+    ends = array(_END_TYPECODE)
     label_of: dict[bytes, int] = {}
     lookup = label_of.get
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -135,8 +172,9 @@ def parse_fimi(text: str | bytes) -> RawDatabase:
             top = max(labels)
             if top > _MAX_LABEL:
                 raise FimiParseError(line_no, f"item {top} exceeds the 32-bit range")
-        transactions.append(tuple(sorted(labels)))
-    return RawDatabase(transactions)
+        cells.extend(sorted(labels))
+        ends.append(len(cells))
+    return RawDatabase(cells, ends)
 
 
 def read_fimi(path) -> RawDatabase:
@@ -146,8 +184,8 @@ def read_fimi(path) -> RawDatabase:
 
 def to_fimi(db: RawDatabase) -> str:
     """Render a database back to FIMI text. Inverse of parse_fimi for
-    databases whose transactions are canonical (sorted, deduped, non-empty)."""
-    return "".join(" ".join(map(str, txn)) + "\n" for txn in db.transactions)
+    databases without empty transactions."""
+    return "".join(" ".join(map(str, row)) + "\n" for row in db._slices())
 
 
 def prune_and_remap(db: RawDatabase, minsup: int) -> tuple[TransactionDatabase, ItemMap]:
@@ -160,8 +198,12 @@ def prune_and_remap(db: RawDatabase, minsup: int) -> tuple[TransactionDatabase, 
     rank_of = {label: rank for rank, label in enumerate(keep)}
     kept, rank = rank_of.__contains__, rank_of.__getitem__
     transactions: list[tuple[int, ...]] = []
-    for txn in db.transactions:
-        mapped = tuple(map(rank, filter(kept, txn)))
+    # db._slices() inlined: a generator resume per row would add to every
+    # prune.
+    cells, start = db.cells, 0
+    for end in db.ends:
+        mapped = tuple(map(rank, filter(kept, cells[start:end])))
+        start = end
         if mapped:
             transactions.append(mapped)
     return TransactionDatabase(transactions, len(keep), minsup), ItemMap(keep)
@@ -203,13 +245,14 @@ def gen_sparse(n_transactions: int, n_items: int, avg_len: int, seed: int) -> Ra
     rng = random.Random(seed)
     labels = list(range(1, n_items + 1))
     cum_weights = list(accumulate((rank + 1) ** -_GEN_SKEW for rank in range(n_items)))
-    transactions: list[tuple[int, ...]] = []
-    for _ in range(n_transactions):
+
+    def draw() -> set[int]:
         length = _clamped_poisson(rng, avg_len, n_items)
         chosen: set[int] = set()
         while len(chosen) < length:
             chosen.update(
                 rng.choices(labels, cum_weights=cum_weights, k=length - len(chosen))
             )
-        transactions.append(tuple(sorted(chosen)))
-    return RawDatabase(transactions)
+        return chosen
+
+    return RawDatabase.from_rows(draw() for _ in range(n_transactions))

@@ -265,51 +265,3 @@ def project_vertical(store: HdrStore, parent: Pdr, txns: Sequence[int] | int) ->
     unread; the benchmark's span recorder (perfbench/spans.py) tells root
     projections from scan projections by them."""
     return Pdr(TidMask(txns) if isinstance(txns, int) else txns)
-
-
-def verify_counts(store: HdrStore, pdr: Pdr, tail,
-                  children: list[tuple[int, int, Sequence[int] | int | None]] = ()) -> bool:
-    """Debug oracle: recompute tail supports three independent ways (a
-    rescan of the rows the horizontal kernel reads, per-item transaction
-    sequences, AND and popcount of the item masks) and check that every
-    item's transaction sequence is strictly ascending, that the Pdr holds no
-    transaction twice and that each of ``children``, as ``count_supports``
-    returns them, is in tail order with its item's support and, as a
-    sequence or a mask, exactly the Pdr's transactions whose rows hold its
-    item (None only below the database's prune minsup). True only if
-    everything agrees. Slow by design; never used on the mining
-    hot path."""
-    rows, tail_set = store.db.transactions, set(tail)
-    txns = list(pdr.txns)
-    in_pdr = set(txns)
-    if len(in_pdr) != len(pdr.txns):
-        return False
-    try:
-        raw = dict.fromkeys(tail, 0)
-        for t in txns:
-            for x in rows[t]:
-                if x in tail_set:
-                    raw[x] += 1
-        listed = {}
-        for y in tail:
-            item_txns = store.item_txns[y]
-            if any(a >= b for a, b in zip(item_txns, item_txns[1:])):
-                return False
-            listed[y] = sum(1 for t in item_txns if t in in_pdr)
-        pdr_mask = _mask_of(txns, store.txn_count)
-        masked = {y: (pdr_mask & store.tidmask(y)).bit_count() for y in tail}
-    except IndexError:
-        return False
-    if children and [y for y, _, _ in children] != list(tail):
-        return False
-    for y, support, child in children:
-        expected = [t for t in txns if y in rows[t]]
-        if isinstance(child, int):
-            matches = child == _mask_of(expected, store.txn_count)
-        elif child is None:
-            matches = support < store.db.minsup
-        else:
-            matches = list(child) == expected
-        if not matches or support != raw[y]:
-            return False
-    return raw == listed == masked

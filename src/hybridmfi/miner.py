@@ -27,7 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .hdr import CostCounters, CountMode, HdrStore, Pdr, count_supports, project_vertical
+from .hdr import (
+    CostCounters,
+    CountMode,
+    HdrStore,
+    Pdr,
+    _indices,
+    count_supports,
+    project_vertical,
+)
 
 
 def _items_of(mask: int) -> frozenset[int]:
@@ -57,6 +65,12 @@ class MfiStore:
     def __iter__(self) -> Iterator[tuple[frozenset[int], int]]:
         for mask, support in zip(self._masks, self._supports):
             yield _items_of(mask), support
+
+    def rank_tuples(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Each stored set as its ascending rank tuple, with its support,
+        in insertion order."""
+        for mask, support in zip(self._masks, self._supports):
+            yield tuple(_indices(mask)), support
 
     def as_dict(self) -> dict[frozenset[int], int]:
         return dict(self)

@@ -163,7 +163,7 @@ def test_antichain_and_completeness(sweep):
 def test_large_sparse_performance():
     started = time.monotonic()
     raw = gen_sparse(100_000, 1000, 10, 1)
-    minsup = cli.resolve_minsup(0.001, len(raw.transactions))
+    minsup = cli.resolve_minsup(0.001, len(raw))
     db, _ = prune_and_remap(raw, minsup)
     store = build_hdr(db)
     result = mine_mfi(store, MinerConfig(minsup=minsup))

@@ -1,11 +1,18 @@
 import argparse
 import csv
+import gc
+import os
 import subprocess
 import sys
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hybridmfi import MfiStore, cli, prune_and_remap
+from hybridmfi import ItemMap, MfiStore, cli, parse_fimi, prune_and_remap
+
+from conftest import TINY_DB
 
 TINY_MS2_OUTPUT = "1 3 (2)\n2 (2)\n"
 
@@ -288,3 +295,64 @@ def test_module_entry_point(tiny_file):
     )
     assert proc.returncode == 0
     assert proc.stdout == TINY_MS2_OUTPUT
+
+
+def test_mine_frees_the_raw_database_before_mining(monkeypatch):
+    # The raw rows are read only by the prune; the mine must not keep them.
+    refs, alive = [], []
+
+    def load(spec):
+        raw = parse_fimi(TINY_DB)
+        refs.append(weakref.ref(raw))
+        return raw
+
+    def probe(db, minsup, args):
+        gc.collect()
+        alive.append(refs[0]() is not None)
+        return cli.MINERS["bitmap"](db, minsup, args)
+
+    monkeypatch.setattr(cli, "_load_dataset", load)
+    monkeypatch.setitem(cli.MINERS, "probe", probe)
+    argv = ["mine", "tiny", "--minsup", "2", "--algorithm", "probe", "-o", os.devnull]
+    assert cli.main(argv) == 0
+    assert alive == [False]
+
+
+@st.composite
+def labelled_stores(draw):
+    """(MfiStore, ItemMap, {label set: support}) for a drawn antichain over
+    drawn ascending labels, small and up to 32 bits wide, so that sorting
+    the rendered lines as text and as integers differ."""
+    n_items = draw(st.integers(1, 12))
+    labels = sorted(draw(st.sets(st.one_of(st.integers(0, 20), st.integers(0, 2**32 - 1)),
+                                 min_size=n_items, max_size=n_items)))
+    drawn = draw(st.lists(st.frozensets(st.integers(0, n_items - 1), min_size=1), max_size=15))
+    antichain = list(dict.fromkeys(s for s in drawn if not any(s < t for t in drawn)))
+    store, expected = MfiStore(n_items), {}
+    for ranks in antichain:
+        support = draw(st.integers(1, 10**6))
+        assert store.add(sum(1 << r for r in ranks), support)
+        expected[frozenset(labels[r] for r in ranks)] = support
+    return store, ItemMap(labels), expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=labelled_stores())
+def test_render_parses_back_to_the_store(case):
+    # Independent of the miners: the rendered lines read back as the
+    # store's sets in labels with their supports, and come strictly sorted
+    # as integer sequences.
+    store, item_map, expected = case
+    text = cli.render_mfi(store, item_map)
+    assert text.endswith("\n") or not text
+    parsed = []
+    for line in text.splitlines():
+        body, _, support = line.rpartition(" (")
+        assert support.endswith(")")
+        labels = tuple(map(int, body.split(" ")))
+        assert list(labels) == sorted(set(labels))
+        parsed.append((labels, int(support[:-1])))
+    assert {frozenset(labels): support for labels, support in parsed} == expected
+    assert len(parsed) == len(expected)
+    keys = [labels for labels, _ in parsed]
+    assert all(a < b for a, b in zip(keys, keys[1:]))

@@ -1,6 +1,11 @@
 import random
+from array import array
+from collections import Counter
+from copy import copy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridmfi import (
     FimiParseError,
@@ -16,26 +21,26 @@ from conftest import TINY_DB
 
 
 def test_parse_five_transactions(tiny_raw):
-    assert tiny_raw.transactions == [(1, 2, 4), (3,), (1, 3, 5), (2, 3), (1, 3)]
+    assert list(tiny_raw.rows()) == [(1, 2, 4), (3,), (1, 3, 5), (2, 3), (1, 3)]
 
 
 def test_parse_empty_input():
     raw = parse_fimi("")
-    assert raw.transactions == []
+    assert len(raw) == 0 and raw.cells == []
 
 
 def test_parse_dedupes_and_sorts():
     raw = parse_fimi("7 7 2\n")
-    assert raw.transactions == [(2, 7)]
+    assert list(raw.rows()) == [(2, 7)]
 
 
 def test_parse_skips_blank_lines():
     raw = parse_fimi("1 2\n\n   \n3\n")
-    assert raw.transactions == [(1, 2), (3,)]
+    assert list(raw.rows()) == [(1, 2), (3,)]
 
 
 def test_parse_accepts_bytes():
-    assert parse_fimi(b"1 2\n").transactions == [(1, 2)]
+    assert list(parse_fimi(b"1 2\n").rows()) == [(1, 2)]
 
 
 @pytest.mark.parametrize(
@@ -73,9 +78,9 @@ def test_parse_separator_bytes_match_bytes_split():
         text = b"1" + bytes([byte]) + b"2\n"
         if bytes([byte]).isspace():
             rows = [(1,), (2,)] if byte in b"\n\r" else [(1, 2)]
-            assert parse_fimi(text).transactions == rows, byte
+            assert list(parse_fimi(text).rows()) == rows, byte
         elif bytes([byte]).isdigit():
-            assert parse_fimi(text).transactions == [(int(text),)], byte
+            assert list(parse_fimi(text).rows()) == [(int(text),)], byte
         else:
             with pytest.raises(FimiParseError) as exc:
                 parse_fimi(text)
@@ -93,7 +98,7 @@ def test_parse_reports_first_bad_line_across_error_kinds():
 
 def test_parse_shares_one_int_per_label():
     raw = parse_fimi(to_fimi(gen_sparse(500, 900, 6, 4)))
-    cells = [x for txn in raw.transactions for x in txn]
+    cells = raw.cells
     assert max(cells) > 256  # above CPython's small-int cache
     assert len({id(x) for x in cells}) == len(set(cells))
 
@@ -143,7 +148,7 @@ def test_prune_identity_at_minsup1(tiny_raw):
     assert db.item_count == 5
     assert item_map.label_of_rank == [1, 2, 3, 4, 5]
     relabeled = [tuple(item_map.label_of_rank[r] for r in txn) for txn in db.transactions]
-    assert relabeled == tiny_raw.transactions
+    assert relabeled == list(tiny_raw.rows())
 
 
 def test_prune_rejects_zero_minsup(tiny_raw):
@@ -177,10 +182,19 @@ def test_prune_supports_meet_threshold():
 
 
 def test_prune_counts_supports_once():
-    # Pruning one raw database at three thresholds counts its supports on
-    # the first prune only; each prune then makes its one remap pass. The
-    # databases equal fresh prunes, and the cached counts are read-only.
-    class Rows(list):
+    # Pruning one raw database at three thresholds counts its supports in
+    # one pass over the cells, on the first prune only; each prune then
+    # makes its one remap pass over the row ends, slicing rows out of the
+    # cells. The databases equal fresh prunes, and the cached counts are
+    # read-only.
+    class Cells(list):
+        passes = 0
+
+        def __iter__(self):
+            self.passes += 1
+            return super().__iter__()
+
+    class Ends(array):
         passes = 0
 
         def __iter__(self):
@@ -188,14 +202,15 @@ def test_prune_counts_supports_once():
             return super().__iter__()
 
     raw = gen_sparse(300, 30, 6, 4)
-    rows = Rows(raw.transactions)
-    shared = RawDatabase(rows)
+    cells, ends = Cells(raw.cells), Ends(raw.ends.typecode, raw.ends)
+    shared = RawDatabase(cells, ends)
     thresholds = (1, 5, 20)
     pruned = [prune_and_remap(shared, minsup) for minsup in thresholds]
-    assert rows.passes == 1 + len(thresholds)
-    assert pruned == [prune_and_remap(RawDatabase(list(raw.transactions)), minsup)
+    assert (cells.passes, ends.passes) == (1, len(thresholds))
+    assert pruned == [prune_and_remap(RawDatabase(list(raw.cells), copy(raw.ends)), minsup)
                       for minsup in thresholds]
-    assert shared.supports == raw.supports and rows.passes == 1 + len(thresholds)
+    assert shared.supports == raw.supports
+    assert (cells.passes, ends.passes) == (1, len(thresholds))
     with pytest.raises(TypeError):
         shared.supports[1] = 0
 
@@ -203,23 +218,23 @@ def test_prune_counts_supports_once():
 def test_gen_sparse_deterministic():
     a = gen_sparse(200, 30, 4, 99)
     b = gen_sparse(200, 30, 4, 99)
-    assert a.transactions == b.transactions
+    assert a == b
     assert to_fimi(a) == to_fimi(b)
 
 
 def test_gen_sparse_zero_transactions():
     raw = gen_sparse(0, 20, 5, 1)
-    assert raw.transactions == []
+    assert len(raw) == 0 and raw.cells == []
 
 
 def test_gen_sparse_mean_length_near_target():
     raw = gen_sparse(1000, 50, 8, 7)
-    assert 6.5 <= atl(raw.transactions) <= 9.5
+    assert 6.5 <= atl(list(raw.rows())) <= 9.5
 
 
 def test_gen_sparse_lengths_in_bounds():
     raw = gen_sparse(500, 6, 4, 3)
-    assert all(1 <= len(txn) <= 6 for txn in raw.transactions)
+    assert all(1 <= len(txn) <= 6 for txn in raw.rows())
 
 
 def test_gen_sparse_skewed_popularity():
@@ -241,7 +256,7 @@ def test_gen_sparse_rejects_negative_count():
 
 
 def test_atl_tiny_db(tiny_raw):
-    assert atl(tiny_raw.transactions) == 2.2
+    assert atl(list(tiny_raw.rows())) == 2.2
 
 
 def test_atl_empty():
@@ -256,11 +271,66 @@ def test_fimi_roundtrip_on_parsed_databases():
     rng = random.Random(5)
     for seed in range(10):
         raw = gen_sparse(rng.randrange(1, 60), rng.randrange(2, 20), 2, seed)
-        assert parse_fimi(to_fimi(raw)).transactions == raw.transactions
-    assert parse_fimi(to_fimi(parse_fimi(TINY_DB))).transactions == parse_fimi(TINY_DB).transactions
+        assert parse_fimi(to_fimi(raw)) == raw
+    assert parse_fimi(to_fimi(parse_fimi(TINY_DB))) == parse_fimi(TINY_DB)
 
 
 def test_support_sum_equals_length_sum():
     for seed in range(10):
         raw = gen_sparse(40, 12, 3, seed)
-        assert sum(raw.supports.values()) == sum(len(t) for t in raw.transactions)
+        assert sum(raw.supports.values()) == sum(len(t) for t in raw.rows())
+
+
+def naive_rows(text):
+    """One sorted, deduplicated label tuple per non-blank line."""
+    return [tuple(sorted({int(t) for t in line.split()}))
+            for line in text.splitlines() if line.split()]
+
+
+def naive_prune(rows, minsup):
+    """(pruned rank rows, kept labels), one row at a time."""
+    support = Counter(x for row in rows for x in row)
+    keep = sorted(x for x, count in support.items() if count >= minsup)
+    rank = {x: r for r, x in enumerate(keep)}
+    pruned = [tuple(rank[x] for x in row if x in rank) for row in rows]
+    return [row for row in pruned if row], keep
+
+
+@st.composite
+def fimi_texts(draw):
+    """FIMI text with blank and whitespace-only lines, labels repeated and
+    out of order within a line, and labels up to the 32-bit maximum. Labels
+    come from a small pool, so they recur across lines."""
+    pool = draw(st.lists(st.one_of(st.integers(0, 30), st.integers(0, 2**32 - 1)),
+                         min_size=1, max_size=8))
+    label_line = st.builds(
+        lambda labels, sep: sep.join(map(str, labels)),
+        st.lists(st.sampled_from(pool), min_size=1, max_size=10),
+        st.sampled_from([" ", "  ", "\t", " \t"]),
+    )
+    line = st.one_of(label_line, st.sampled_from(["", " ", "\t", "  \t "]))
+    lines = draw(st.lists(line, max_size=25))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(line + ending for line in lines)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(text=fimi_texts(), minsup=st.integers(1, 8))
+def test_flat_layout_matches_naive_rows(text, minsup):
+    rows = naive_rows(text)
+    raw = parse_fimi(text)
+    assert list(raw.rows()) == rows and len(raw) == len(rows)
+    assert raw.cells == [x for row in rows for x in row]
+    assert raw == RawDatabase.from_rows(rows)
+    assert raw.supports == Counter(x for row in rows for x in row)
+    drop_all = max(raw.supports.values(), default=0) + 1
+    for threshold in (1, 2, minsup, drop_all):
+        db, item_map = prune_and_remap(raw, threshold)
+        expected, keep = naive_prune(rows, threshold)
+        assert db.transactions == expected
+        assert item_map.label_of_rank == keep and db.item_count == len(keep)
+        assert db.minsup == threshold
+    assert prune_and_remap(raw, drop_all)[0].transactions == []
+    fimi = to_fimi(raw)
+    assert fimi == "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    assert parse_fimi(fimi) == raw

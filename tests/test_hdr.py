@@ -22,10 +22,11 @@ from hybridmfi import (
     project_vertical,
     prune_and_remap,
     select_mode,
-    verify_counts,
 )
 from hybridmfi import hdr
 from hybridmfi.hdr import _mask_of
+
+from conftest import verify_counts
 
 
 def clone_store(store):

@@ -127,8 +127,8 @@ def test_pep_containment_property():
 
     checked = {CountMode.HORIZONTAL: 0, CountMode.BITMAP: 0}
     for seed in range(10):
-        rows = gen_sparse(30, 8, 3, seed).transactions
-        db, _ = prune_and_remap(RawDatabase([r + (9,) if 2 in r else r for r in rows]), 2)
+        rows = gen_sparse(30, 8, 3, seed).rows()
+        db, _ = prune_and_remap(RawDatabase.from_rows(r + (9,) if 2 in r else r for r in rows), 2)
         store = build_hdr(db)
         root = store.root_pdr()
         tail = list(range(db.item_count))
