@@ -187,19 +187,18 @@ def test_prune_counts_supports_once():
     # makes its one remap pass over the row ends, slicing rows out of the
     # cells. The databases equal fresh prunes, and the cached counts are
     # read-only.
-    class Cells(list):
+    class Passes:
         passes = 0
 
         def __iter__(self):
             self.passes += 1
             return super().__iter__()
 
-    class Ends(array):
-        passes = 0
+    class Cells(Passes, list):
+        pass
 
-        def __iter__(self):
-            self.passes += 1
-            return super().__iter__()
+    class Ends(Passes, array):
+        pass
 
     raw = gen_sparse(300, 30, 6, 4)
     cells, ends = Cells(raw.cells), Ends(raw.ends.typecode, raw.ends)
