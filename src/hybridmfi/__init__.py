@@ -6,7 +6,6 @@ from .dataset import (
     ItemMap,
     RawDatabase,
     TransactionDatabase,
-    atl,
     gen_sparse,
     parse_fimi,
     prune_and_remap,
@@ -46,7 +45,6 @@ __all__ = [
     "ItemMap",
     "RawDatabase",
     "TransactionDatabase",
-    "atl",
     "gen_sparse",
     "parse_fimi",
     "prune_and_remap",

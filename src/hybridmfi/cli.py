@@ -19,8 +19,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, fields
-from itertools import chain
-from operator import sub
+from fractions import Fraction
 
 from .dataset import (
     FimiParseError,
@@ -85,15 +84,19 @@ _SUMMARY_KEYS = {"minsup_abs": "minsup", "minsup_rel": None, "mfi_count": "mfi",
                  "wall_time_ms": "time_ms"}
 
 
-_MINSUP_INTEGER = re.compile(r"[0-9]+")
+# A count: ASCII digits only. int() would also take a sign, a ``_``
+# separator, surrounding space and non-ASCII digits.
+_INTEGER = re.compile(r"[0-9]+")
 _MINSUP_FRACTION = re.compile(r"[0-9]*\.[0-9]+|[0-9]+\.")
 
 
-def parse_minsup(text: str) -> int | float:
+def parse_minsup(text: str) -> int | Fraction:
     """Absolute when the token is ASCII digits, relative when it is an ASCII
-    decimal fraction in (0, 1]. Anything else (a sign, a ``_`` separator,
-    an exponent, surrounding space, a non-ASCII digit) is rejected."""
-    if _MINSUP_INTEGER.fullmatch(text):
+    decimal fraction in (0, 1], held exactly, so that resolving it against a
+    row count does not round up a product like 0.28 * 25. Anything else (a
+    sign, a ``_`` separator, an exponent, surrounding space, a non-ASCII
+    digit) is rejected."""
+    if _INTEGER.fullmatch(text):
         try:
             value = int(text)
         except ValueError:  # beyond int()'s digit limit
@@ -103,13 +106,16 @@ def parse_minsup(text: str) -> int | float:
         return value
     if not _MINSUP_FRACTION.fullmatch(text):
         raise CliError(f"minsup must be an integer or a decimal fraction, got {text!r}")
-    fraction = float(text)
-    if not 0.0 < fraction <= 1.0:
+    try:
+        fraction = Fraction(text)
+    except ValueError:  # beyond int()'s digit limit
+        raise CliError(f"relative minsup has too many digits: {text[:20]}...") from None
+    if not 0 < fraction <= 1:
         raise CliError(f"relative minsup must be in (0, 1], got {text}")
     return fraction
 
 
-def resolve_minsup(value: int | float, n_transactions: int) -> int:
+def resolve_minsup(value: int | Fraction, n_transactions: int) -> int:
     if isinstance(value, int):
         return value
     return max(1, math.ceil(value * n_transactions))
@@ -135,11 +141,9 @@ def _load_dataset(spec: str) -> RawDatabase:
         fields = spec.split(":")[1:]
         if len(fields) != 4:
             raise CliError(f"generator spec must be gen:TXNS:ITEMS:AVG:SEED, got {spec!r}")
-        try:
-            n_txns, n_items, avg_len, seed = (int(f) for f in fields)
-        except ValueError:
-            raise CliError(f"generator spec fields must be integers: {spec!r}") from None
-        return gen_sparse(n_txns, n_items, avg_len, seed)
+        if not all(map(_INTEGER.fullmatch, fields)):
+            raise CliError(f"generator spec fields must be ASCII digits: {spec!r}")
+        return gen_sparse(*map(int, fields))
     try:
         return read_fimi(spec)
     except OSError as exc:
@@ -255,11 +259,10 @@ def cmd_bench(args) -> int:
 
 def cmd_stats(args) -> int:
     raw = _load_dataset(args.input)
-    n, ends = len(raw), raw.ends
-    lengths = list(map(sub, ends, chain((0,), ends)))
+    n, lengths = len(raw), list(map(len, raw.rows()))
     print(f"Items={len(raw.supports)}")
     print(f"Records={n}")
-    print(f"Average Length={len(raw.cells) / n if n else 0:g}")
+    print(f"Average Length={sum(lengths) / n if n else 0:g}")
     print(f"Min Length={min(lengths) if lengths else 0}")
     print(f"Max Length={max(lengths) if lengths else 0}")
     return EXIT_OK

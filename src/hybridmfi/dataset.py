@@ -75,15 +75,12 @@ class RawDatabase:
         """Number of transactions, the empty ones included."""
         return len(self.ends)
 
-    def _slices(self) -> Iterator[list[int]]:
-        cells, start = self.cells, 0
-        for end in self.ends:
-            yield cells[start:end]
-            start = end
-
     def rows(self) -> Iterator[tuple[int, ...]]:
         """Each transaction in turn as a label tuple, made as it is reached."""
-        return map(tuple, self._slices())
+        cells, start = self.cells, 0
+        for end in self.ends:
+            yield tuple(cells[start:end])
+            start = end
 
     # Cached as a plain dict, so the database still copies and pickles; a
     # mappingproxy does neither.
@@ -185,7 +182,7 @@ def read_fimi(path) -> RawDatabase:
 def to_fimi(db: RawDatabase) -> str:
     """Render a database back to FIMI text. Inverse of parse_fimi for
     databases without empty transactions."""
-    return "".join(" ".join(map(str, row)) + "\n" for row in db._slices())
+    return "".join(" ".join(map(str, row)) + "\n" for row in db.rows())
 
 
 def prune_and_remap(db: RawDatabase, minsup: int) -> tuple[TransactionDatabase, ItemMap]:
@@ -198,8 +195,8 @@ def prune_and_remap(db: RawDatabase, minsup: int) -> tuple[TransactionDatabase, 
     rank_of = {label: rank for rank, label in enumerate(keep)}
     kept, rank = rank_of.__contains__, rank_of.__getitem__
     transactions: list[tuple[int, ...]] = []
-    # db._slices() inlined: a generator resume per row would add to every
-    # prune.
+    # db.rows() inlined: a generator resume and a tuple per row would add to
+    # every prune.
     cells, start = db.cells, 0
     for end in db.ends:
         mapped = tuple(map(rank, filter(kept, cells[start:end])))
@@ -207,13 +204,6 @@ def prune_and_remap(db: RawDatabase, minsup: int) -> tuple[TransactionDatabase, 
         if mapped:
             transactions.append(mapped)
     return TransactionDatabase(transactions, len(keep), minsup), ItemMap(keep)
-
-
-def atl(transactions) -> float:
-    """Average transaction length; 0 for an empty database."""
-    if not transactions:
-        return 0.0
-    return sum(len(txn) for txn in transactions) / len(transactions)
 
 
 def _clamped_poisson(rng: random.Random, mean: float, upper: int) -> int:

@@ -38,15 +38,6 @@ from .hdr import (
 )
 
 
-def _items_of(mask: int) -> frozenset[int]:
-    items = []
-    while mask:
-        low = mask & -mask
-        items.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(items)
-
-
 class MfiStore:
     """Antichain of maximal itemsets with their supports, stored as a
     vertical bitmap: bit p of ``_holders[x]`` is set iff the p-th stored set
@@ -63,17 +54,14 @@ class MfiStore:
         return len(self._masks)
 
     def __iter__(self) -> Iterator[tuple[frozenset[int], int]]:
-        for mask, support in zip(self._masks, self._supports):
-            yield _items_of(mask), support
+        for ranks, support in self.rank_tuples():
+            yield frozenset(ranks), support
 
     def rank_tuples(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """Each stored set as its ascending rank tuple, with its support,
         in insertion order."""
         for mask, support in zip(self._masks, self._supports):
             yield tuple(_indices(mask)), support
-
-    def as_dict(self) -> dict[frozenset[int], int]:
-        return dict(self)
 
     def _holding(self, mask: int, positions: int) -> int:
         """The positions in ``positions`` whose stored set holds every item
@@ -120,8 +108,7 @@ class MfiStore:
             if others:
                 outer = masks[(others & -others).bit_length() - 1]
                 raise AssertionError(
-                    f"stored itemset {sorted(_items_of(mask))} lies inside "
-                    f"{sorted(_items_of(outer))}"
+                    f"stored itemset {_indices(mask)} lies inside {_indices(outer)}"
                 )
 
 

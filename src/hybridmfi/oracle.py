@@ -5,6 +5,7 @@ transaction scans and is the ground truth at small item counts.
 ``mine_bitmap_baseline`` is a second, independently coded maximal miner over
 per-item transaction bitsets; it shares the search skeleton and ``MfiStore``
 with ``mine_mfi`` and ``maximal_filter``, but none of the HdrStore kernels.
+Set masks are decoded to ranks by ``hdr._indices``, as everywhere else.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from .dataset import TransactionDatabase
-from .miner import MfiStore, _items_of
+from .hdr import _indices
+from .miner import MfiStore
 
 BRUTEFORCE_MAX_ITEMS = 24
 
@@ -57,7 +59,7 @@ def enumerate_fi_bruteforce(db: TransactionDatabase, minsup: int
             top = mask.bit_length() - 1
             for x in range(top + 1, db.item_count):
                 cand = mask | (1 << x)
-                if any(cand ^ (1 << b) not in found for b in _items_of(cand)):
+                if any(cand ^ (1 << b) not in found for b in _indices(cand)):
                     continue
                 s = support(cand)
                 if s >= minsup:
@@ -65,8 +67,8 @@ def enumerate_fi_bruteforce(db: TransactionDatabase, minsup: int
                     next_level.append(cand)
         level = next_level
     return [
-        (_items_of(mask), s)
-        for mask, s in sorted(found.items(), key=lambda kv: (bin(kv[0]).count("1"), kv[0]))
+        (frozenset(_indices(mask)), s)
+        for mask, s in sorted(found.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
     ]
 
 

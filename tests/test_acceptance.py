@@ -53,10 +53,10 @@ def sweep():
         raw = gen_sparse(n_txns, n_items, avg_len, seed)
         db, _ = prune_and_remap(raw, minsup)
         store = build_hdr(db)
-        mined = mine_mfi(store, MinerConfig(minsup=minsup)).as_dict()
-        baseline = mine_bitmap_baseline(db, minsup).as_dict()
+        mined = dict(mine_mfi(store, MinerConfig(minsup=minsup)))
+        baseline = dict(mine_bitmap_baseline(db, minsup))
         brute_fi = enumerate_fi_bruteforce(db, minsup)
-        brute_mfi = maximal_filter(brute_fi).as_dict()
+        brute_mfi = dict(maximal_filter(brute_fi))
         runs.append(SweepRun(seed, minsup, db, store, mined, baseline,
                              dict(brute_fi), brute_mfi))
     return runs, time.monotonic() - started
@@ -137,7 +137,7 @@ def test_toggles_and_modes_stable(sweep):
                 config = MinerConfig(minsup=run.minsup, mode=mode,
                                      enable_pep=pep, enable_fhut=fhut,
                                      enable_hutmfi=hutmfi, enable_reorder=reorder)
-                if mine_mfi(run.store, config).as_dict() != run.mined:
+                if dict(mine_mfi(run.store, config)) != run.mined:
                     mismatches += 1
     report(5, mismatches == 0,
            f"16 toggle combinations x 3 modes leave output unchanged "

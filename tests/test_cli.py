@@ -74,6 +74,7 @@ def test_mine_missing_file():
     pytest.param(" 3", id="leading_space"),
     pytest.param("3\n", id="trailing_newline"),
     pytest.param("9" * 5000, id="too_many_digits"),
+    pytest.param("0." + "5" * 5000, id="fraction_too_many_digits"),
 ])
 def test_mine_rejects_bad_minsup(tiny_file, bad):
     assert cli.main(["mine", str(tiny_file), "--minsup", bad]) == 2
@@ -104,6 +105,18 @@ def test_mine_rejects_bad_gen_spec(capsys):
     # The generator's own ValueError reaches the operator as it is.
     assert cli.main(["mine", "gen:10:0:1:1", "--minsup", "1"]) == 2
     assert capsys.readouterr().err == "error: n_items must be >= 1, got 0\n"
+
+
+# int() would take every one of these fields; a gen: field is ASCII digits
+# only, as a minsup is.
+@pytest.mark.parametrize("spec", [
+    "gen:1_000:10:3:1", "gen:+5:10:3:1", "gen:10:5:2:-1",
+    pytest.param("gen:\u0663:10:3:1", id="gen:arabic_indic:10:3:1"),
+    pytest.param("gen: 5:10:3:1", id="gen:leading_space:10:3:1"),
+])
+def test_mine_rejects_non_decimal_gen_field(capsys, spec):
+    assert cli.main(["mine", spec, "--minsup", "1"]) == 2
+    assert "ASCII digits" in capsys.readouterr().err
 
 
 def test_mine_counters_go_to_stderr(tiny_file, capsys):
@@ -285,6 +298,18 @@ def test_parse_minsup_roundtrip():
     assert cli.resolve_minsup(0.25, 10) == 3
     assert cli.resolve_minsup(0.001, 10) == 1
     assert cli.resolve_minsup(4, 10) == 4
+
+
+def test_relative_minsup_resolves_exactly(tmp_path, capsys):
+    # 0.28 * 25 is 7.000000000000001 in floating point, whose ceiling is 8.
+    assert cli.resolve_minsup(cli.parse_minsup("0.28"), 25) == 7
+    assert cli.resolve_minsup(cli.parse_minsup("0.14"), 50) == 7
+    rows = tmp_path / "rows25.dat"
+    rows.write_text("1 2\n" * 7 + "1\n" * 18)
+    assert cli.main(["mine", str(rows), "--minsup", "0.28"]) == 0
+    out, err = capsys.readouterr()
+    assert "minsup=7" in err.split()
+    assert out == "1 2 (7)\n"
 
 
 def test_module_entry_point(tiny_file):

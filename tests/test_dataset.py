@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hybridmfi import (
     FimiParseError,
     RawDatabase,
-    atl,
     gen_sparse,
     parse_fimi,
     prune_and_remap,
@@ -228,7 +227,7 @@ def test_gen_sparse_zero_transactions():
 
 def test_gen_sparse_mean_length_near_target():
     raw = gen_sparse(1000, 50, 8, 7)
-    assert 6.5 <= atl(list(raw.rows())) <= 9.5
+    assert 6.5 <= len(raw.cells) / len(raw) <= 9.5
 
 
 def test_gen_sparse_lengths_in_bounds():
@@ -252,18 +251,6 @@ def test_gen_sparse_rejects_bad_avg_len():
 def test_gen_sparse_rejects_negative_count():
     with pytest.raises(ValueError):
         gen_sparse(-1, 5, 2, 1)
-
-
-def test_atl_tiny_db(tiny_raw):
-    assert atl(list(tiny_raw.rows())) == 2.2
-
-
-def test_atl_empty():
-    assert atl([]) == 0
-
-
-def test_atl_uniform():
-    assert atl([[1, 2], [1, 2]]) == 2.0
 
 
 def test_fimi_roundtrip_on_parsed_databases():

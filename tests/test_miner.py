@@ -230,7 +230,11 @@ def test_store_add_keeps_antichain():
     assert not mfi.add(0b001, 3)  # subsumed
     assert not mfi.add(0b101, 2)  # duplicate
     assert mfi.add(0b010, 2)
-    assert mfi.as_dict() == {frozenset({0, 2}): 2, frozenset({1}): 2}
+    assert dict(mfi) == {frozenset({0, 2}): 2, frozenset({1}): 2}
+    # Iteration and rank tuples decode the same masks, in insertion order.
+    ranked = list(mfi.rank_tuples())
+    assert list(mfi) == [(frozenset(ranks), support) for ranks, support in ranked]
+    assert all(list(ranks) == sorted(set(ranks)) for ranks, _ in ranked)
 
 
 def add_unchecked(monkeypatch, mfi, mask, support):
@@ -350,7 +354,7 @@ def test_prune_is_live_in_engine(toggle):
         on, off = SearchStats(), SearchStats()
         with_prune = mine_mfi(store, MinerConfig(minsup=2), stats=on)
         without = mine_mfi(store, MinerConfig(minsup=2, **{toggle: False}), stats=off)
-        assert without.as_dict() == with_prune.as_dict(), f"seed {seed}"
+        assert dict(without) == dict(with_prune), f"seed {seed}"
         assert off.nodes_explored > on.nodes_explored, f"seed {seed}"
 
 
@@ -359,25 +363,25 @@ def test_mine_matches_oracle_on_random_databases():
         minsup = seed % 3 + 1
         db, _ = prune_and_remap(gen_sparse(30, 9, 3, seed), minsup)
         store = build_hdr(db)
-        mined = mine_mfi(store, MinerConfig(minsup=minsup)).as_dict()
-        expected = maximal_filter(enumerate_fi_bruteforce(db, minsup)).as_dict()
+        mined = dict(mine_mfi(store, MinerConfig(minsup=minsup)))
+        expected = dict(maximal_filter(enumerate_fi_bruteforce(db, minsup)))
         assert mined == expected, f"seed {seed}"
 
 
 def test_toggles_do_not_change_output(tiny_ms1):
     db, item_map, store = tiny_ms1
-    reference = mine_mfi(store, MinerConfig(minsup=1)).as_dict()
+    reference = dict(mine_mfi(store, MinerConfig(minsup=1)))
     for pep, fhut, hutmfi, reorder in itertools.product([False, True], repeat=4):
         config = MinerConfig(minsup=1, enable_pep=pep, enable_fhut=fhut,
                              enable_hutmfi=hutmfi, enable_reorder=reorder)
-        assert mine_mfi(store, config).as_dict() == reference
+        assert dict(mine_mfi(store, config)) == reference
 
 
 def test_modes_do_not_change_output(tiny_ms2):
     _, _, store = tiny_ms2
-    reference = mine_mfi(store, MinerConfig(minsup=2)).as_dict()
+    reference = dict(mine_mfi(store, MinerConfig(minsup=2)))
     for mode in (CountMode.HORIZONTAL, CountMode.BITMAP):
-        assert mine_mfi(store, MinerConfig(minsup=2, mode=mode)).as_dict() == reference
+        assert dict(mine_mfi(store, MinerConfig(minsup=2, mode=mode))) == reference
 
 
 def test_mfi_supports_are_exact():

@@ -78,7 +78,7 @@ def test_maximal_filter_empty():
 def test_maximal_filter_single_itemset():
     # Any iterable of pairs, read once.
     mfi = maximal_filter(iter([(frozenset({3}), 7)]))
-    assert mfi.as_dict() == {frozenset({3}): 7}
+    assert dict(mfi) == {frozenset({3}): 7}
 
 
 def test_maximal_sets_cover_all_frequent_sets():
@@ -118,8 +118,8 @@ def test_baseline_agrees_with_bruteforce():
     for seed in range(30):
         minsup = seed % 3 + 1
         db, _ = prune_and_remap(gen_sparse(30, 9, 3, seed), minsup)
-        got = mine_bitmap_baseline(db, minsup).as_dict()
-        expected = maximal_filter(enumerate_fi_bruteforce(db, minsup)).as_dict()
+        got = dict(mine_bitmap_baseline(db, minsup))
+        expected = dict(maximal_filter(enumerate_fi_bruteforce(db, minsup)))
         assert got == expected, f"seed {seed}"
 
 
@@ -127,9 +127,9 @@ def test_three_implementations_agree():
     for seed in range(20):
         minsup = seed % 2 + 1
         db, _ = prune_and_remap(gen_sparse(30, 9, 3, seed), minsup)
-        hybrid = mine_mfi(build_hdr(db), MinerConfig(minsup=minsup)).as_dict()
-        baseline = mine_bitmap_baseline(db, minsup).as_dict()
-        brute = maximal_filter(enumerate_fi_bruteforce(db, minsup)).as_dict()
+        hybrid = dict(mine_mfi(build_hdr(db), MinerConfig(minsup=minsup)))
+        baseline = dict(mine_bitmap_baseline(db, minsup))
+        brute = dict(maximal_filter(enumerate_fi_bruteforce(db, minsup)))
         assert hybrid == baseline == brute, f"seed {seed}"
 
 

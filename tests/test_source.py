@@ -1,7 +1,8 @@
 """Checks on the source itself. Invariants in the package must not depend
 on the interpreter's -O flag: an ``assert`` statement or a ``__debug__``
 branch vanishes under it. No module reads the environment. README must
-show only the CLI that exists."""
+show only the CLI that exists. Every exported name has a reader outside
+the tests."""
 
 import argparse
 import ast
@@ -12,7 +13,8 @@ import hybridmfi
 from hybridmfi import cli
 
 PACKAGE = Path(hybridmfi.__file__).resolve().parent
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_package_has_no_assert_or_debug_branch():
@@ -70,3 +72,37 @@ def test_readme_matches_cli():
     run = set(re.findall(r"(?m)^hybridmfi (\S+)", text))
     assert run
     assert not run - commands, f"README runs subcommands the CLI lacks: {sorted(run - commands)}"
+
+
+def _names_read(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_export_has_a_reader_outside_tests():
+    # An export that only tests call is code kept for its own tests.
+    init = PACKAGE / "__init__.py"
+    home = {alias.name: node.module
+            for node in ast.parse(init.read_text()).body if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+    readers = {path: _names_read(path)
+               for path in [*PACKAGE.glob("*.py"), *ROOT.glob("perfbench/*.py"),
+                            *ROOT.glob("tools/*.py")] if path != init}
+    assert any(path.parent.name == "perfbench" for path in readers)
+    readme = README.read_text()
+    unread = []
+    for name in hybridmfi.__all__:
+        if name == "__version__":
+            continue
+        defining = PACKAGE / f"{home[name]}.py"
+        if not (re.search(rf"\b{name}\b", readme)
+                or any(name in names for path, names in readers.items() if path != defining)):
+            unread.append(name)
+    assert not unread, f"exported but read only by tests: {unread}"
