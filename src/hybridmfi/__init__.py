@@ -3,7 +3,6 @@ rank tuples, per-item transaction arrays and transaction bitmasks."""
 
 from .dataset import (
     FimiParseError,
-    ItemMap,
     RawDatabase,
     TransactionDatabase,
     gen_sparse,
@@ -42,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FimiParseError",
-    "ItemMap",
     "RawDatabase",
     "TransactionDatabase",
     "gen_sparse",

@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import re
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 
 from .dataset import (
     FimiParseError,
-    ItemMap,
     RawDatabase,
     TransactionDatabase,
     gen_sparse,
@@ -47,27 +47,18 @@ class CliError(ValueError):
 
 @dataclass
 class RunReport:
-    """One mining run. Its fields, in order, are the bench CSV columns; the
-    counters are None for the miners other than hybrid, a blank cell and no
-    entry in the stderr summary."""
+    """One mining run. Its fields, in order, are the bench CSV row, with
+    ``minsup_rel`` as text; the counters are None for the miners other than
+    hybrid, a blank cell and no entry in the stderr summary."""
 
     dataset: str
     algorithm: str
     minsup_abs: int
-    minsup_rel: float
+    minsup_rel: str
     mfi_count: int
     wall_time_ms: int
     cells_touched: int | None
     nodes_explored: int | None
-
-    def csv_row(self) -> list:
-        row = []
-        for name in CSV_COLUMNS:
-            value = getattr(self, name)
-            if name == "minsup_rel":
-                value = f"{value:.6g}"
-            row.append("" if value is None else value)
-        return row
 
     def summary(self) -> str:
         parts = []
@@ -84,10 +75,20 @@ _SUMMARY_KEYS = {"minsup_abs": "minsup", "minsup_rel": None, "mfi_count": "mfi",
                  "wall_time_ms": "time_ms"}
 
 
-# A count: ASCII digits only. int() would also take a sign, a ``_``
-# separator, surrounding space and non-ASCII digits.
 _INTEGER = re.compile(r"[0-9]+")
 _MINSUP_FRACTION = re.compile(r"[0-9]*\.[0-9]+|[0-9]+\.")
+
+
+def _count(text: str, what: str) -> int | None:
+    """The count ``text`` writes in ASCII digits, or None if it is not one:
+    int() would also take a sign, a ``_`` separator, surrounding space and
+    non-ASCII digits. Past int()'s digit limit, a CliError naming ``what``."""
+    if not _INTEGER.fullmatch(text):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # beyond int()'s digit limit
+        raise CliError(f"{what} has too many digits: {text[:20]}...") from None
 
 
 def parse_minsup(text: str) -> int | Fraction:
@@ -96,11 +97,8 @@ def parse_minsup(text: str) -> int | Fraction:
     row count does not round up a product like 0.28 * 25. Anything else (a
     sign, a ``_`` separator, an exponent, surrounding space, a non-ASCII
     digit) is rejected."""
-    if _INTEGER.fullmatch(text):
-        try:
-            value = int(text)
-        except ValueError:  # beyond int()'s digit limit
-            raise CliError(f"absolute minsup has too many digits: {text[:20]}...") from None
+    value = _count(text, "absolute minsup")
+    if value is not None:
         if value < 1:
             raise CliError(f"absolute minsup must be >= 1, got {text}")
         return value
@@ -121,11 +119,11 @@ def resolve_minsup(value: int | Fraction, n_transactions: int) -> int:
     return max(1, math.ceil(value * n_transactions))
 
 
-def render_mfi(store: MfiStore, item_map: ItemMap) -> str:
-    """The canonical text of a mined store. Ranks ascend with labels, so a
-    set's ascending ranks name its labels in ascending order, and sorting
-    the sets by rank tuple sorts them as label sequences."""
-    name = list(map(str, item_map.label_of_rank)).__getitem__
+def render_mfi(store: MfiStore, labels: list[int]) -> str:
+    """The canonical text of a mined store; ``labels[r]`` is rank r's label.
+    Ranks ascend with labels, so a set's ascending ranks name its labels in
+    order, and sorting the sets by rank tuple sorts them as label sequences."""
+    name = list(map(str, labels)).__getitem__
     return "".join([f"{' '.join(map(name, ranks))} ({support})\n"
                     for ranks, support in sorted(store.rank_tuples())])
 
@@ -141,9 +139,10 @@ def _load_dataset(spec: str) -> RawDatabase:
         fields = spec.split(":")[1:]
         if len(fields) != 4:
             raise CliError(f"generator spec must be gen:TXNS:ITEMS:AVG:SEED, got {spec!r}")
-        if not all(map(_INTEGER.fullmatch, fields)):
+        counts = [_count(field, "generator spec field") for field in fields]
+        if None in counts:
             raise CliError(f"generator spec fields must be ASCII digits: {spec!r}")
-        return gen_sparse(*map(int, fields))
+        return gen_sparse(*counts)
     try:
         return read_fimi(spec)
     except OSError as exc:
@@ -153,11 +152,12 @@ def _load_dataset(spec: str) -> RawDatabase:
 
 
 def _write_output(path: str | None, text: str) -> None:
+    """Write ``text`` to stdout or, no newline translated, to ``path``."""
     if path is None:
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
@@ -190,23 +190,23 @@ MINERS = {
 
 
 def _run_algorithms(args, algorithms: list[str], dataset: str,
-                    pruned: tuple[TransactionDatabase, ItemMap],
+                    pruned: tuple[TransactionDatabase, list[int]],
                     n_transactions: int) -> list[tuple[str, RunReport]]:
     """Mine a database pruned at the run's minsup with each algorithm in
     turn: (rendered maximal sets, report) per algorithm. ``n_transactions``
     is the raw database's row count, which the relative minsup is reported
     against. The timed span is the store build and the mine for hybrid, the
     mine alone otherwise."""
-    db, item_map = pruned
+    db, labels = pruned
     minsup_abs = db.minsup
-    rel = minsup_abs / n_transactions if n_transactions else 0.0
+    rel = f"{minsup_abs / n_transactions if n_transactions else 0.0:.6g}"
     runs = []
     for algorithm in algorithms:
         started = _now_ms()
         result, cells, nodes = MINERS[algorithm](db, minsup_abs, args)
         elapsed = _now_ms() - started
         report = RunReport(dataset, algorithm, minsup_abs, rel, len(result), elapsed, cells, nodes)
-        runs.append((render_mfi(result, item_map), report))
+        runs.append((render_mfi(result, labels), report))
     return runs
 
 
@@ -229,14 +229,14 @@ def cmd_bench(args) -> int:
         if a not in MINERS:
             raise CliError(f"unknown algorithm {a!r}")
     grid = [parse_minsup(m) for m in args.minsup]
-    rows: list[list] = []
+    reports: list[RunReport] = []
     for dataset in args.datasets:
         raw = _load_dataset(dataset)
         n = len(raw)
         for minsup in grid:
             minsup_abs = resolve_minsup(minsup, n)
             runs = _run_algorithms(args, algorithms, dataset, prune_and_remap(raw, minsup_abs), n)
-            rows.extend(report.csv_row() for _, report in runs)
+            reports.extend(report for _, report in runs)
             reference = runs[0][0]
             differing = [a for a, (text, _) in zip(algorithms, runs) if text != reference]
             if differing:
@@ -246,14 +246,10 @@ def cmd_bench(args) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_INTERNAL
-    try:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise CliError(f"cannot write {args.csv}: {exc.strerror or exc}") from None
-    print(f"wrote {len(rows)} rows to {args.csv}", file=sys.stderr)
+    table = io.StringIO()
+    csv.writer(table).writerows([CSV_COLUMNS, *map(astuple, reports)])
+    _write_output(args.csv, table.getvalue())
+    print(f"wrote {len(reports)} rows to {args.csv}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -269,7 +265,7 @@ def cmd_stats(args) -> int:
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", choices=["auto", "horizontal", "bitmap"], default="auto",
+    parser.add_argument("--mode", choices=[mode.value for mode in CountMode], default="auto",
                         help="counting mode for the hybrid engine")
     parser.add_argument("--no-pep", action="store_true",
                         help="disable equal-support absorption into the head")

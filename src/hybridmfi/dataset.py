@@ -96,20 +96,6 @@ class RawDatabase:
 
 
 @dataclass(frozen=True)
-class ItemMap:
-    """Bijection between surviving labels and dense ranks.
-
-    Ranks are assigned in ascending label order, so sorting by rank and
-    sorting by label agree everywhere downstream.
-    """
-
-    label_of_rank: list[int]
-
-    def labels_of(self, ranks) -> list[int]:
-        return sorted(self.label_of_rank[r] for r in ranks)
-
-
-@dataclass(frozen=True)
 class TransactionDatabase:
     """Pruned, rank-remapped database. Every transaction is a non-empty
     ascending rank tuple, every rank one shared int, and every rank occurs
@@ -185,10 +171,11 @@ def to_fimi(db: RawDatabase) -> str:
     return "".join(" ".join(map(str, row)) + "\n" for row in db.rows())
 
 
-def prune_and_remap(db: RawDatabase, minsup: int) -> tuple[TransactionDatabase, ItemMap]:
+def prune_and_remap(db: RawDatabase, minsup: int) -> tuple[TransactionDatabase, list[int]]:
     """Drop labels with support below ``minsup``, remap survivors to dense
     ranks in ascending label order, and drop transactions that end up empty.
-    The supports are the database's own, counted once for every prune."""
+    Returns the database and the surviving labels, rank r's label at index
+    r. The supports are the database's own, counted once for every prune."""
     if minsup < 1:
         raise ValueError(f"minsup must be a positive integer, got {minsup}")
     keep = sorted(label for label, count in db.supports.items() if count >= minsup)
@@ -203,7 +190,7 @@ def prune_and_remap(db: RawDatabase, minsup: int) -> tuple[TransactionDatabase, 
         start = end
         if mapped:
             transactions.append(mapped)
-    return TransactionDatabase(transactions, len(keep), minsup), ItemMap(keep)
+    return TransactionDatabase(transactions, len(keep), minsup), keep
 
 
 def _clamped_poisson(rng: random.Random, mean: float, upper: int) -> int:

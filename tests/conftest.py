@@ -7,9 +7,10 @@ from hybridmfi.hdr import _mask_of
 TINY_DB = "1 2 4\n3\n1 3 5\n2 3\n1 3\n"
 
 
-def label_mfi(store, item_map):
-    """{frozenset of original labels: support} for a mined result."""
-    return {frozenset(item_map.labels_of(ranks)): support for ranks, support in store}
+def label_mfi(store, labels):
+    """{frozenset of original labels: support} for a mined result, rank r
+    being ``labels[r]``."""
+    return {frozenset(labels[r] for r in ranks): support for ranks, support in store}
 
 
 def verify_counts(store, pdr, tail, children=()) -> bool:
@@ -65,17 +66,17 @@ def tiny_raw():
 
 @pytest.fixture
 def tiny_ms1(tiny_raw):
-    """(db, item_map, store) pruned at minsup 1: identity prune, ranks 0..4
+    """(db, labels, store) pruned at minsup 1: identity prune, ranks 0..4
     map to labels 1..5."""
-    db, item_map = prune_and_remap(tiny_raw, 1)
-    return db, item_map, build_hdr(db)
+    db, labels = prune_and_remap(tiny_raw, 1)
+    return db, labels, build_hdr(db)
 
 
 @pytest.fixture
 def tiny_ms2(tiny_raw):
-    """(db, item_map, store) pruned at minsup 2: labels 1,2,3 -> ranks 0,1,2."""
-    db, item_map = prune_and_remap(tiny_raw, 2)
-    return db, item_map, build_hdr(db)
+    """(db, labels, store) pruned at minsup 2: labels 1,2,3 -> ranks 0,1,2."""
+    db, labels = prune_and_remap(tiny_raw, 2)
+    return db, labels, build_hdr(db)
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridmfi import ItemMap, MfiStore, cli, parse_fimi, prune_and_remap
+from hybridmfi import MfiStore, cli, parse_fimi, prune_and_remap
 
 from conftest import TINY_DB
 
@@ -119,6 +119,19 @@ def test_mine_rejects_non_decimal_gen_field(capsys, spec):
     assert "ASCII digits" in capsys.readouterr().err
 
 
+# Past int()'s digit limit a gen: field is rejected as --minsup is, with a
+# spec message and not int()'s own advice to raise the limit.
+@pytest.mark.parametrize("spec", [
+    pytest.param("gen:" + "9" * 5000 + ":10:3:1", id="txns"),
+    pytest.param("gen:10:10:3:" + "9" * 5000, id="seed"),
+])
+def test_mine_rejects_overlong_gen_field(capsys, spec):
+    assert cli.main(["mine", spec, "--minsup", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "generator spec field has too many digits" in err
+    assert "set_int_max_str_digits" not in err
+
+
 def test_mine_counters_go_to_stderr(tiny_file, capsys):
     assert cli.main(["mine", str(tiny_file), "--minsup", "2"]) == 0
     err = capsys.readouterr().err
@@ -206,6 +219,25 @@ def test_bench_counters_fill_hybrid_rows_only(tiny_file, tmp_path):
     assert by_algo["hybrid"][nodes].isdigit()
     assert by_algo["bitmap"][cells] == ""
     assert by_algo["bitmap"][nodes] == ""
+
+
+def test_bench_csv_bytes(tiny_file, tmp_path):
+    # The file holds the csv module's text as it is: \r\n line ends, the
+    # relative minsup in .6g, and a blank cell for each absent counter.
+    out = tmp_path / "bench.csv"
+    assert cli.main(["bench", str(tiny_file), "--minsup", "2", "--csv", str(out),
+                     "--algorithms", "hybrid,bitmap,oracle"]) == 0
+    lines = out.read_bytes().decode().split("\r\n")
+    assert lines[-1] == "" and "\n" not in "".join(lines)
+    header, *body = lines[:-1]
+    assert header == ("dataset,algorithm,minsup_abs,minsup_rel,mfi_count,wall_time_ms,"
+                      "cells_touched,nodes_explored")
+    rows = [line.split(",") for line in body]
+    assert [row[:5] for row in rows] == [[str(tiny_file), algorithm, "2", "0.4", "2"]
+                                         for algorithm in ["hybrid", "bitmap", "oracle"]]
+    assert all(row[5].isdigit() for row in rows)
+    assert rows[0][6].isdigit() and rows[0][7].isdigit()
+    assert [row[6:] for row in rows[1:]] == [["", ""], ["", ""]]
 
 
 def test_bench_generated_dataset_is_deterministic(tmp_path):
@@ -345,7 +377,7 @@ def test_mine_frees_the_raw_database_before_mining(monkeypatch):
 
 @st.composite
 def labelled_stores(draw):
-    """(MfiStore, ItemMap, {label set: support}) for a drawn antichain over
+    """(MfiStore, label list, {label set: support}) for a drawn antichain over
     drawn ascending labels, small and up to 32 bits wide, so that sorting
     the rendered lines as text and as integers differ."""
     n_items = draw(st.integers(1, 12))
@@ -358,7 +390,7 @@ def labelled_stores(draw):
         support = draw(st.integers(1, 10**6))
         assert store.add(sum(1 << r for r in ranks), support)
         expected[frozenset(labels[r] for r in ranks)] = support
-    return store, ItemMap(labels), expected
+    return store, labels, expected
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -367,8 +399,8 @@ def test_render_parses_back_to_the_store(case):
     # Independent of the miners: the rendered lines read back as the
     # store's sets in labels with their supports, and come strictly sorted
     # as integer sequences.
-    store, item_map, expected = case
-    text = cli.render_mfi(store, item_map)
+    store, rank_labels, expected = case
+    text = cli.render_mfi(store, rank_labels)
     assert text.endswith("\n") or not text
     parsed = []
     for line in text.splitlines():

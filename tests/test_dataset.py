@@ -126,9 +126,9 @@ def test_global_supports_repeated_singleton():
 
 
 def test_prune_minsup2(tiny_raw):
-    db, item_map = prune_and_remap(tiny_raw, 2)
-    assert item_map.label_of_rank == [1, 2, 3]
-    assert [tuple(item_map.label_of_rank[r] for r in txn) for txn in db.transactions] == \
+    db, labels = prune_and_remap(tiny_raw, 2)
+    assert labels == [1, 2, 3]
+    assert [tuple(labels[r] for r in txn) for txn in db.transactions] == \
         [(1, 2), (3,), (1, 3), (2, 3), (1, 3)]
     assert db.item_count == 3
     assert db.transactions == [(0, 1), (2,), (0, 2), (1, 2), (0, 2)]
@@ -136,17 +136,17 @@ def test_prune_minsup2(tiny_raw):
 
 
 def test_prune_drops_everything(tiny_raw):
-    db, item_map = prune_and_remap(tiny_raw, 5)
+    db, labels = prune_and_remap(tiny_raw, 5)
     assert db.item_count == 0
     assert db.transactions == []
-    assert item_map.label_of_rank == []
+    assert labels == []
 
 
 def test_prune_identity_at_minsup1(tiny_raw):
-    db, item_map = prune_and_remap(tiny_raw, 1)
+    db, labels = prune_and_remap(tiny_raw, 1)
     assert db.item_count == 5
-    assert item_map.label_of_rank == [1, 2, 3, 4, 5]
-    relabeled = [tuple(item_map.label_of_rank[r] for r in txn) for txn in db.transactions]
+    assert labels == [1, 2, 3, 4, 5]
+    relabeled = [tuple(labels[r] for r in txn) for txn in db.transactions]
     assert relabeled == list(tiny_raw.rows())
 
 
@@ -163,8 +163,8 @@ def test_prune_drops_emptied_transactions():
 
 def test_prune_ranks_preserve_label_order():
     raw = parse_fimi("30 7 100\n30 7 100\n")
-    _, item_map = prune_and_remap(raw, 2)
-    assert item_map.label_of_rank == sorted(item_map.label_of_rank)
+    _, labels = prune_and_remap(raw, 2)
+    assert labels == sorted(labels)
 
 
 def test_prune_supports_meet_threshold():
@@ -311,10 +311,10 @@ def test_flat_layout_matches_naive_rows(text, minsup):
     assert raw.supports == Counter(x for row in rows for x in row)
     drop_all = max(raw.supports.values(), default=0) + 1
     for threshold in (1, 2, minsup, drop_all):
-        db, item_map = prune_and_remap(raw, threshold)
+        db, labels = prune_and_remap(raw, threshold)
         expected, keep = naive_prune(rows, threshold)
         assert db.transactions == expected
-        assert item_map.label_of_rank == keep and db.item_count == len(keep)
+        assert labels == keep and db.item_count == len(keep)
         assert db.minsup == threshold
     assert prune_and_remap(raw, drop_all)[0].transactions == []
     fimi = to_fimi(raw)

@@ -48,14 +48,14 @@ def databases(draw):
 )
 def test_three_miners_render_identically(case, mode, toggles):
     text, minsup = case
-    db, item_map = prune_and_remap(parse_fimi(text), minsup)
+    db, labels = prune_and_remap(parse_fimi(text), minsup)
     config = MinerConfig(minsup=minsup, mode=mode, **toggles)
     mined = mine_mfi(build_hdr(db), config)
     reference = mine_bitmap_baseline(db, minsup)
     if all(toggles.values()):
         # Same search order: same insertion order and supports.
         assert list(mined) == list(reference)
-    hybrid = render_mfi(mined, item_map)
-    baseline = render_mfi(reference, item_map)
-    oracle = render_mfi(maximal_filter(enumerate_fi_bruteforce(db, minsup)), item_map)
+    hybrid = render_mfi(mined, labels)
+    baseline = render_mfi(reference, labels)
+    oracle = render_mfi(maximal_filter(enumerate_fi_bruteforce(db, minsup)), labels)
     assert hybrid == baseline == oracle

@@ -30,36 +30,36 @@ from conftest import label_mfi
 
 
 def mine_labels(raw_text, minsup, **config_kwargs):
-    db, item_map = prune_and_remap(parse_fimi(raw_text), minsup)
+    db, labels = prune_and_remap(parse_fimi(raw_text), minsup)
     store = build_hdr(db)
     result = mine_mfi(store, MinerConfig(minsup=minsup, **config_kwargs))
-    return label_mfi(result, item_map)
+    return label_mfi(result, labels)
 
 
 def mine_traced(raw_text, minsup, **config_kwargs):
     """(maximal sets as label tuples in insertion order, supports, nodes)."""
-    db, item_map = prune_and_remap(parse_fimi(raw_text), minsup)
+    db, labels = prune_and_remap(parse_fimi(raw_text), minsup)
     stats = SearchStats()
     result = mine_mfi(build_hdr(db), MinerConfig(minsup=minsup, **config_kwargs),
                       stats=stats)
-    order = [tuple(sorted(item_map.labels_of(ranks))) for ranks, _ in result]
+    order = [tuple(sorted(labels[r] for r in ranks)) for ranks, _ in result]
     supports = [support for _, support in result]
     return order, supports, stats.nodes_explored
 
 
 def test_mine_tiny_minsup2(tiny_ms2):
-    db, item_map, store = tiny_ms2
+    db, labels, store = tiny_ms2
     result = mine_mfi(store, MinerConfig(minsup=2))
-    assert label_mfi(result, item_map) == {
+    assert label_mfi(result, labels) == {
         frozenset({1, 3}): 2,
         frozenset({2}): 2,
     }
 
 
 def test_mine_tiny_minsup1(tiny_ms1):
-    db, item_map, store = tiny_ms1
+    db, labels, store = tiny_ms1
     result = mine_mfi(store, MinerConfig(minsup=1))
-    assert label_mfi(result, item_map) == {
+    assert label_mfi(result, labels) == {
         frozenset({1, 2, 4}): 1,
         frozenset({1, 3, 5}): 1,
         frozenset({2, 3}): 1,
@@ -67,9 +67,9 @@ def test_mine_tiny_minsup1(tiny_ms1):
 
 
 def test_mine_tiny_minsup3(tiny_raw):
-    db, item_map = prune_and_remap(tiny_raw, 3)
+    db, labels = prune_and_remap(tiny_raw, 3)
     result = mine_mfi(build_hdr(db), MinerConfig(minsup=3))
-    assert label_mfi(result, item_map) == {frozenset({1}): 3, frozenset({3}): 4}
+    assert label_mfi(result, labels) == {frozenset({1}): 3, frozenset({3}): 4}
 
 
 def test_mine_empty_store():
@@ -369,7 +369,7 @@ def test_mine_matches_oracle_on_random_databases():
 
 
 def test_toggles_do_not_change_output(tiny_ms1):
-    db, item_map, store = tiny_ms1
+    db, labels, store = tiny_ms1
     reference = dict(mine_mfi(store, MinerConfig(minsup=1)))
     for pep, fhut, hutmfi, reorder in itertools.product([False, True], repeat=4):
         config = MinerConfig(minsup=1, enable_pep=pep, enable_fhut=fhut,
@@ -458,10 +458,10 @@ def test_deep_tail_survives_without_recursion():
     n = 1100
     raw = parse_fimi("".join(" ".join(str(x) for x in range(1, i + 2)) + "\n"
                              for i in range(n)))
-    db, item_map = prune_and_remap(raw, 1)
+    db, labels = prune_and_remap(raw, 1)
     store = build_hdr(db)
     result = mine_mfi(store, MinerConfig(minsup=1, enable_pep=False))
-    assert label_mfi(result, item_map) == {frozenset(range(1, n + 1)): 1}
+    assert label_mfi(result, labels) == {frozenset(range(1, n + 1)): 1}
 
 
 @pytest.mark.parametrize("mode", list(CountMode), ids=lambda m: m.value)

@@ -20,9 +20,9 @@ from conftest import label_mfi
 
 
 def test_bruteforce_tiny_minsup2(tiny_raw):
-    db, item_map = prune_and_remap(tiny_raw, 1)
+    db, labels = prune_and_remap(tiny_raw, 1)
     fi = enumerate_fi_bruteforce(db, 2)
-    labelled = {frozenset(item_map.labels_of(ranks)): s for ranks, s in fi}
+    labelled = {frozenset(labels[r] for r in ranks): s for ranks, s in fi}
     assert labelled == {
         frozenset({1}): 3,
         frozenset({2}): 2,
@@ -37,9 +37,9 @@ def test_bruteforce_no_frequent_itemsets(tiny_raw):
 
 
 def test_bruteforce_duplicate_transactions():
-    db, item_map = prune_and_remap(parse_fimi("1\n1\n"), 1)
+    db, labels = prune_and_remap(parse_fimi("1\n1\n"), 1)
     fi = enumerate_fi_bruteforce(db, 2)
-    assert {frozenset(item_map.labels_of(r)): s for r, s in fi} == {frozenset({1}): 2}
+    assert {frozenset(labels[r] for r in ranks): s for ranks, s in fi} == {frozenset({1}): 2}
 
 
 def test_bruteforce_item_guard():
@@ -66,9 +66,9 @@ def test_bruteforce_is_downward_closed():
 
 
 def test_maximal_filter_tiny_db(tiny_raw):
-    db, item_map = prune_and_remap(tiny_raw, 1)
+    db, labels = prune_and_remap(tiny_raw, 1)
     mfi = maximal_filter(enumerate_fi_bruteforce(db, 2))
-    assert label_mfi(mfi, item_map) == {frozenset({1, 3}): 2, frozenset({2}): 2}
+    assert label_mfi(mfi, labels) == {frozenset({1, 3}): 2, frozenset({2}): 2}
 
 
 def test_maximal_filter_empty():
@@ -104,9 +104,9 @@ def test_baseline_tiny_db(tiny_raw):
         (2, {frozenset({1, 3}): 2, frozenset({2}): 2}),
         (3, {frozenset({1}): 3, frozenset({3}): 4}),
     ]:
-        db, item_map = prune_and_remap(tiny_raw, minsup)
+        db, labels = prune_and_remap(tiny_raw, minsup)
         mfi = mine_bitmap_baseline(db, minsup)
-        assert label_mfi(mfi, item_map) == expected, f"minsup {minsup}"
+        assert label_mfi(mfi, labels) == expected, f"minsup {minsup}"
 
 
 def test_baseline_empty_database():
@@ -140,6 +140,6 @@ def test_baseline_deep_search_survives_without_recursion():
     labels = range(1, n + 1)
     rows = [" ".join(str(x) for x in labels if x != j) for j in labels]
     rows.append(" ".join(str(x) for x in labels))
-    db, item_map = prune_and_remap(parse_fimi("\n".join(rows) + "\n"), 1)
+    db, kept = prune_and_remap(parse_fimi("\n".join(rows) + "\n"), 1)
     result = mine_bitmap_baseline(db, 1)
-    assert label_mfi(result, item_map) == {frozenset(labels): 1}
+    assert label_mfi(result, kept) == {frozenset(labels): 1}

@@ -1,8 +1,8 @@
 """Checks on the source itself. Invariants in the package must not depend
 on the interpreter's -O flag: an ``assert`` statement or a ``__debug__``
 branch vanishes under it. No module reads the environment. README must
-show only the CLI that exists. Every exported name has a reader outside
-the tests."""
+show only the CLI that exists, and its library example runs. Every
+exported name has a reader outside the tests."""
 
 import argparse
 import ast
@@ -72,6 +72,15 @@ def test_readme_matches_cli():
     run = set(re.findall(r"(?m)^hybridmfi (\S+)", text))
     assert run
     assert not run - commands, f"README runs subcommands the CLI lacks: {sorted(run - commands)}"
+
+
+def test_readme_library_example_runs(capsys):
+    # README's Library block is run as it stands, so it cannot show an API
+    # that has gone.
+    block = re.search(r"## Library\n+```python\n(.*?)```", README.read_text(), re.S)
+    assert block, "README has no Library python block"
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    assert capsys.readouterr().out == "[2] 2\n[1, 3] 2\n"
 
 
 def _names_read(path: Path) -> set[str]:
