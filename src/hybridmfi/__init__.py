@@ -1,5 +1,5 @@
-"""Maximal frequent itemset mining over a hybrid store of per-transaction
-rank tuples, per-item transaction arrays and transaction bitmasks."""
+"""Maximal frequent itemset mining over a hybrid store of flat rank rows,
+per-item transaction arrays and transaction bitmasks."""
 
 from .dataset import (
     FimiParseError,

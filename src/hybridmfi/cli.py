@@ -214,7 +214,7 @@ def cmd_mine(args) -> int:
     raw = _load_dataset(args.input)
     n = len(raw)
     pruned = prune_and_remap(raw, resolve_minsup(parse_minsup(args.minsup), n))
-    del raw  # the raw rows are not read again; free them before the mine
+    del raw  # not read again: free before the mine what the pruned rows do not share
     text, report = _run_algorithms(args, [args.algorithm], args.input, pruned, n)[0]
     _write_output(args.output, text)
     print(report.summary(), file=sys.stderr)

@@ -1,13 +1,17 @@
 """Transaction database loading, pruning, and synthesis.
 
-A :class:`RawDatabase` carries item labels exactly as read from disk, laid
-out flat: one list of every row's labels end to end and a packed array of
-where each row ends. Mining operates on a rank-remapped
-:class:`TransactionDatabase`, a list of rows, each an immutable ascending
-tuple of ranks, where the surviving frequent items form the dense range
-``[0, item_count)`` and ranks preserve ascending label order. Cells share
-their ints (the parser converts each distinct token once, and a rank is one
-int per item), so a cell costs one pointer and not an int object of its own.
+Both databases hold their transactions in one flat layout, LCM's array
+layout (Uno et al., FIMI'04): ``cells``, one list of every row's items end
+to end, and ``ends``, a packed array of where each row ends, so row t is
+``cells[ends[t - 1]:ends[t]]`` (from 0 when t is 0) and no tuple is kept per
+row. A :class:`RawDatabase` holds each label as a dense item id, the ids
+numbering the distinct labels in ascending label order, and keeps the
+labels. Mining operates on a :class:`TransactionDatabase`, whose cells are
+ranks: the surviving frequent items form the dense range
+``[0, item_count)`` in ascending label order. When every item survives and
+no row is empty the ranks are the ids, and the pruned database shares the
+raw database's cells and ends. Cells share their ints (one per id or rank),
+so a cell costs one pointer and not an int object of its own.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ import random
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate
+from functools import cached_property, partial
+from itertools import accumulate, chain, compress, repeat
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -27,6 +31,9 @@ _MAX_LABEL = 0xFFFFFFFF
 # The bytes a FIMI file may hold: ASCII digits and the ASCII whitespace that
 # bytes.split() and bytes.splitlines() break on.
 _FIMI_BYTES = b"0123456789 \t\n\r\x0b\x0c"
+
+# read_fimi reads the file this many bytes at a time.
+_BLOCK_BYTES = 1 << 20
 
 # Popularity weight of the rank-k item in generated data: (k+1) ** -_GEN_SKEW.
 _GEN_SKEW = 0.6
@@ -46,47 +53,70 @@ _END_TYPECODE = "I"
 
 
 @dataclass(frozen=True)
-class RawDatabase:
-    """Transactions as ingested, laid out flat: transaction t is
-    ``cells[ends[t - 1]:ends[t]]`` (from 0 when t is 0), its labels sorted
-    and deduplicated. ``cells`` is a list, so a cell is one pointer to the
-    int its label shares with every other cell of that label, and ``ends``
-    packs 4 bytes a transaction; no tuple is kept per row.
-
-    Both are immutable by convention after construction, so the label
-    supports are counted once and kept. Empty transactions are permitted
-    here; they disappear at the pruning stage."""
+class _FlatRows:
+    """Rows laid out flat: row t is ``cells[ends[t - 1]:ends[t]]`` (from 0
+    when t is 0), ascending and without duplicates. ``cells`` is a list, so
+    a cell is one pointer to the int it shares with every other cell of its
+    item, and ``ends`` packs 4 bytes a row. Both are immutable by
+    convention after construction, so two databases may share them."""
 
     cells: list[int]
     ends: array
 
+    def __len__(self) -> int:
+        """Number of rows, the empty ones included."""
+        return len(self.ends)
+
+    def _slices(self) -> Iterator[list[int]]:
+        cells, start = self.cells, 0
+        for end in self.ends:
+            yield cells[start:end]
+            start = end
+
+
+@dataclass(frozen=True)
+class RawDatabase(_FlatRows):
+    """Transactions as ingested. Each cell is an item id and ``labels[id]``
+    its label; ``labels`` ascends, so ids sort as their labels do, and every
+    label occurs in some row. ``empty_rows`` tells whether any row is empty,
+    recorded as the rows are built. Empty transactions are permitted here;
+    they disappear at the pruning stage. The supports are counted once and
+    kept."""
+
+    labels: list[int]
+    empty_rows: bool
+
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> RawDatabase:
-        """The database whose transactions are ``rows``, each sorted and
-        deduplicated."""
+        """The database whose transactions are ``rows`` of labels, each
+        sorted and deduplicated."""
         cells: list[int] = []
         ends = array(_END_TYPECODE)
+        empty_rows = False
         for row in rows:
+            start = len(cells)
             cells.extend(sorted(set(row)))
+            empty_rows = empty_rows or len(cells) == start
             ends.append(len(cells))
-        return cls(cells, ends)
-
-    def __len__(self) -> int:
-        """Number of transactions, the empty ones included."""
-        return len(self.ends)
+        return _interned(cells, ends, set(cells), empty_rows)
 
     def rows(self) -> Iterator[tuple[int, ...]]:
         """Each transaction in turn as a label tuple, made as it is reached."""
-        cells, start = self.cells, 0
-        for end in self.ends:
-            yield tuple(cells[start:end])
-            start = end
+        label = self.labels.__getitem__
+        for row in self._slices():
+            yield tuple(map(label, row))
+
+    @cached_property
+    def _id_supports(self) -> list[int]:
+        """Number of transactions containing each item, by id."""
+        counts = Counter(self.cells)
+        return list(map(counts.__getitem__, range(len(self.labels))))
 
     # Cached as a plain dict, so the database still copies and pickles; a
     # mappingproxy does neither.
     @cached_property
     def _support_counts(self) -> dict[int, int]:
-        return dict(Counter(self.cells))
+        return dict(zip(self.labels, self._id_supports))
 
     @property
     def supports(self) -> Mapping[int, int]:
@@ -95,15 +125,34 @@ class RawDatabase:
         return MappingProxyType(self._support_counts)
 
 
-@dataclass(frozen=True)
-class TransactionDatabase:
-    """Pruned, rank-remapped database. Every transaction is a non-empty
-    ascending rank tuple, every rank one shared int, and every rank occurs
-    in at least ``minsup`` transactions."""
+def _interned(cells: list[int], ends: array, distinct: Iterable[int],
+              empty_rows: bool) -> RawDatabase:
+    """The database of rows of label ``cells``, every cell replaced in
+    place by the id of its label among the ``distinct`` labels. Ids keep
+    label order, so each row stays ascending. The cells are remapped a
+    slice at a time, the slice and its remap together one block's bytes: a
+    remap of the whole list would hold a second one."""
+    labels = sorted(distinct)
+    to_id = dict(zip(labels, range(len(labels)))).__getitem__
+    step = _BLOCK_BYTES // 16 or 1  # two lists of 8-byte pointers
+    for start in range(0, len(cells), step):
+        stop = start + step
+        cells[start:stop] = map(to_id, cells[start:stop])
+    return RawDatabase(cells, ends, labels, empty_rows)
 
-    transactions: list[tuple[int, ...]]
+
+@dataclass(frozen=True)
+class TransactionDatabase(_FlatRows):
+    """Pruned, rank-remapped database. Every row is non-empty and holds
+    ascending ranks, and every rank in ``[0, item_count)`` occurs in at
+    least ``minsup`` rows."""
+
     item_count: int
     minsup: int
+
+    def rows(self) -> Iterator[tuple[int, ...]]:
+        """Each transaction in turn as a rank tuple, made as it is reached."""
+        return map(tuple, self._slices())
 
     def require_minsup(self, minsup: int) -> None:
         """Raise ValueError unless the database can be mined at ``minsup``:
@@ -121,48 +170,70 @@ def parse_fimi(text: str | bytes) -> RawDatabase:
     """Parse FIMI text: one transaction per non-blank line, non-negative
     integer labels written in plain ASCII digits and separated by ASCII
     whitespace. Duplicates within a line collapse; items are sorted
-    ascending. Each distinct token is converted once, so every cell written
-    with that token shares one int."""
+    ascending. Each distinct token is converted once, and each distinct
+    label becomes one id."""
     if isinstance(text, str):
         text = text.encode("utf-8", "surrogatepass")
-    # The bytes methods are ASCII-only: lines end only at \n or \r, tokens
-    # split only on ASCII whitespace, and a label is a run of ASCII digits.
-    # The str methods and int() would also take Unicode spaces and line
-    # separators, signs, underscores and non-ASCII digits. Lines are checked
-    # one by one only if the buffer holds some other byte, so the first bad
-    # line is still the one reported.
-    check_lines = bool(text.translate(None, _FIMI_BYTES))
+    return _parse_blocks((text,))
+
+
+def read_fimi(path) -> RawDatabase:
+    """``parse_fimi`` of the file at ``path``, read ``_BLOCK_BYTES`` at a
+    time, so that neither the file's bytes nor its lines are ever all held
+    at once."""
+    with open(path, "rb") as handle:
+        return _parse_blocks(iter(partial(handle.read, _BLOCK_BYTES), b""))
+
+
+def _parse_blocks(blocks: Iterable[bytes]) -> RawDatabase:
+    """The database of FIMI text given as consecutive blocks, cut anywhere.
+    Each block's last line, unless a \n ends it, is carried into the next
+    block: it may go on there, and a \r may be the first half of a \r\n."""
     cells: list[int] = []
     ends = array(_END_TYPECODE)
     label_of: dict[bytes, int] = {}
     lookup = label_of.get
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if check_lines and not b"".join(tokens).isdigit():
-            bad = next(t for t in tokens if not t.isdigit()).decode("utf-8", "replace")
-            raise FimiParseError(line_no, f"token {bad!r} is not an ASCII decimal label")
-        labels = set(map(lookup, tokens))
-        if None in labels:  # a token seen for the first time
-            try:
-                for token in tokens:
-                    if token not in label_of:
-                        label_of[token] = int(token)
-            except ValueError:  # more digits than int() will convert
-                raise FimiParseError(line_no, "item has too many digits") from None
-            labels = set(map(label_of.__getitem__, tokens))
-            top = max(labels)
-            if top > _MAX_LABEL:
-                raise FimiParseError(line_no, f"item {top} exceeds the 32-bit range")
-        cells.extend(sorted(labels))
-        ends.append(len(cells))
-    return RawDatabase(cells, ends)
-
-
-def read_fimi(path) -> RawDatabase:
-    with open(path, "rb") as handle:
-        return parse_fimi(handle.read())
+    first_line, carry = 1, b""
+    # The final \n ends the carried line; if nothing is carried it adds one
+    # blank line after the last, which no error can name.
+    for chunk in chain(blocks, (b"\n",)):
+        block = carry + chunk
+        del chunk
+        # The bytes methods are ASCII-only: lines end only at \n or \r,
+        # tokens split only on ASCII whitespace (line ends included), and a
+        # label is a run of ASCII digits. The str methods and int() would
+        # also take Unicode spaces and line separators, signs, underscores
+        # and non-ASCII digits. A block's lines are checked one by one only
+        # if it holds some other byte, so the first bad line is still the
+        # one reported.
+        check_lines = bool(block.translate(None, _FIMI_BYTES))
+        lines = block.splitlines(keepends=True)
+        del block
+        carry = lines.pop() if lines and not lines[-1].endswith(b"\n") else b""
+        for line_no, line in enumerate(lines, start=first_line):
+            tokens = line.split()
+            if not tokens:
+                continue
+            if check_lines and not b"".join(tokens).isdigit():
+                bad = next(t for t in tokens if not t.isdigit()).decode("utf-8", "replace")
+                raise FimiParseError(line_no, f"token {bad!r} is not an ASCII decimal label")
+            labels = set(map(lookup, tokens))
+            if None in labels:  # a token seen for the first time
+                try:
+                    for token in tokens:
+                        if token not in label_of:
+                            label_of[token] = int(token)
+                except ValueError:  # more digits than int() will convert
+                    raise FimiParseError(line_no, "item has too many digits") from None
+                labels = set(map(label_of.__getitem__, tokens))
+                top = max(labels)
+                if top > _MAX_LABEL:
+                    raise FimiParseError(line_no, f"item {top} exceeds the 32-bit range")
+            cells.extend(sorted(labels))
+            ends.append(len(cells))
+        first_line += len(lines)
+        del lines
+    return _interned(cells, ends, set(label_of.values()), False)
 
 
 def to_fimi(db: RawDatabase) -> str:
@@ -175,22 +246,25 @@ def prune_and_remap(db: RawDatabase, minsup: int) -> tuple[TransactionDatabase, 
     """Drop labels with support below ``minsup``, remap survivors to dense
     ranks in ascending label order, and drop transactions that end up empty.
     Returns the database and the surviving labels, rank r's label at index
-    r. The supports are the database's own, counted once for every prune."""
+    r. The supports are the database's own, counted once for every prune.
+    When every item survives and no row is empty, the ranks are the ids and
+    the pruned database shares the raw database's ``cells`` and ``ends``."""
     if minsup < 1:
         raise ValueError(f"minsup must be a positive integer, got {minsup}")
-    keep = sorted(label for label, count in db.supports.items() if count >= minsup)
-    rank_of = {label: rank for rank, label in enumerate(keep)}
-    kept, rank = rank_of.__contains__, rank_of.__getitem__
-    transactions: list[tuple[int, ...]] = []
-    # db.rows() inlined: a generator resume and a tuple per row would add to
-    # every prune.
-    cells, start = db.cells, 0
-    for end in db.ends:
-        mapped = tuple(map(rank, filter(kept, cells[start:end])))
-        start = end
-        if mapped:
-            transactions.append(mapped)
-    return TransactionDatabase(transactions, len(keep), minsup), keep
+    supports = db._id_supports
+    if not db.empty_rows and min(supports, default=minsup) >= minsup:
+        return TransactionDatabase(db.cells, db.ends, len(supports), minsup), list(db.labels)
+    # Flags and ranks are lists indexed by id. Every loop below runs in C:
+    # one flag byte per cell, the kept cells mapped to ranks, and each row's
+    # new end from the count of its kept flags, rows keeping none dropped.
+    kept = [count >= minsup for count in supports]
+    rank_of = [rank - 1 for rank in accumulate(kept)]
+    flags = bytes(map(kept.__getitem__, db.cells))
+    cells = list(map(rank_of.__getitem__, compress(db.cells, flags)))
+    row_counts = map(flags.count, repeat(1), chain((0,), db.ends), db.ends)
+    ends = array(_END_TYPECODE, accumulate(filter(None, row_counts)))
+    labels = list(compress(db.labels, kept))
+    return TransactionDatabase(cells, ends, len(labels), minsup), labels
 
 
 def _clamped_poisson(rng: random.Random, mean: float, upper: int) -> int:

@@ -1,16 +1,17 @@
 """Hybrid transaction store. The horizontal part is the pruned database
-itself: one ascending rank tuple per transaction. The vertical part is each
-item's ascending transaction sequence, a packed 32-bit array that is the
-root's child projection, and each item's transaction bitmask (bit t set iff
-transaction t holds the item), built from that array the first time a
-bitmap-mode count needs it.
+itself, flat: transaction t's ascending ranks are one slice of a list of
+every row's ranks, cut where a packed array of row ends says. The vertical
+part is each item's ascending transaction sequence, a packed 32-bit array
+that is the root's child projection, and each item's transaction bitmask
+(bit t set iff transaction t holds the item), built from that array the
+first time a bitmap-mode count needs it.
 
 Support counting at a search node runs over the node's projected
 transactions (its Pdr) in one of two modes, and in both the count returns
 every child's transactions with its support. A horizontal count walks each
-transaction's rank tuple and appends the transaction to the list of every
-tail item it holds (LCM's occurrence deliver): the lists' lengths are the
-supports and each list is a child's projection. A bitmap count ANDs the
+transaction's slice of ranks and appends the transaction to the list of
+every tail item it holds (LCM's occurrence deliver): the lists' lengths are
+the supports and each list is a child's projection. A bitmap count ANDs the
 node's transaction mask with each tail item's mask: the AND is the child's
 projection and its popcount the support. A Pdr starts as a sequence of its
 transactions: the root's is a range, a root child's its item's array, a
@@ -28,6 +29,8 @@ import re
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import chain
+from operator import sub
 from typing import Iterator, Sequence
 
 from .dataset import TransactionDatabase
@@ -101,10 +104,11 @@ class Pdr:
 
 @dataclass(slots=True, eq=False)
 class HdrStore:
-    """The hybrid layout. Horizontal: ``db.transactions[t]`` is transaction
-    t's ascending rank tuple and ``row_cells[t]`` its length, which
-    ``select_mode`` sums over a node's transactions faster than it could
-    take each row's ``len``. Vertical: ``item_txns[x]`` is the ascending
+    """The hybrid layout. Horizontal: ``db.cells[db.ends[t - 1]:db.ends[t]]``
+    (from 0 when t is 0) holds transaction t's ascending ranks and
+    ``row_cells[t]`` is its length, which ``select_mode`` sums over a node's
+    transactions faster than it could take each row's length from the
+    ends. Vertical: ``item_txns[x]`` is the ascending
     sequence of the transactions containing rank x, packed in an
     ``array('i')`` (4 bytes a cell), and ``item_tidmask[x]`` is the same set
     as a bitmask over transaction indices (None until ``tidmask(x)`` first
@@ -124,7 +128,7 @@ class HdrStore:
     @property
     def cell_count(self) -> int:
         """Item occurrences (cells) across all rows."""
-        return sum(self.row_cells)
+        return len(self.db.cells)
 
     @property
     def item_count(self) -> int:
@@ -132,7 +136,7 @@ class HdrStore:
 
     @property
     def txn_count(self) -> int:
-        return len(self.db.transactions)
+        return len(self.db)
 
     def tidmask(self, x: int) -> int:
         """Rank x's transaction bitmask, built on first use."""
@@ -157,19 +161,22 @@ def build_hdr(db: TransactionDatabase) -> HdrStore:
     database; item masks are left to be built on first use. Raises
     OverflowError for a database whose transaction indices do not fit a
     C int."""
-    if len(db.transactions) > _MAX_TXNS:
-        raise OverflowError(f"{len(db.transactions)} transactions: indices of at most "
+    if len(db) > _MAX_TXNS:
+        raise OverflowError(f"{len(db)} transactions: indices of at most "
                             f"{_MAX_TXNS} fit the store's {_TXN_TYPECODE!r} arrays")
     item_txns = [array(_TXN_TYPECODE) for _ in range(db.item_count)]
     # Appending a row's index as its 4 native bytes costs less per cell
     # than array.append, which converts the int once per cell.
     fills = [txns.frombytes for txns in item_txns]
     byteorder = sys.byteorder
-    for t, txn in enumerate(db.transactions):
+    cells, ends, start = db.cells, db.ends, 0
+    for t, end in enumerate(ends):
         packed = t.to_bytes(_TXN_BYTES, byteorder)
-        for x in txn:
+        for x in cells[start:end]:
             fills[x](packed)
-    return HdrStore(db, list(map(len, db.transactions)), item_txns, [None] * db.item_count)
+        start = end
+    row_cells = list(map(sub, ends, chain((0,), ends)))
+    return HdrStore(db, row_cells, item_txns, [None] * db.item_count)
 
 
 # Kernel costs in nanoseconds, fitted as select_mode records.
@@ -238,9 +245,12 @@ def count_supports(store: HdrStore, pdr: Pdr, tail, mode: CountMode = CountMode.
             delivered = [None] * store.item_count
             for y in tail:
                 delivered[y] = []
-            transactions = store.db.transactions
+            # Row t ends at ends[t] and is row_cells[t] long: a list read
+            # costs less than a second read of the packed ends.
+            cells, ends, row_cells = store.db.cells, store.db.ends, store.row_cells
             for t in txns:
-                for x in transactions[t]:
+                end = ends[t]
+                for x in cells[end - row_cells[t]:end]:
                     occurrences = delivered[x]
                     if occurrences is not None:
                         occurrences.append(t)

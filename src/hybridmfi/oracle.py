@@ -35,12 +35,12 @@ def enumerate_fi_bruteforce(db: TransactionDatabase, minsup: int
             "brute-force limit"
         )
     db.require_minsup(minsup)
-    txn_masks = [0] * len(db.transactions)
-    for t, txn in enumerate(db.transactions):
+    txn_masks = []
+    for txn in db.rows():
         m = 0
         for x in txn:
             m |= 1 << x
-        txn_masks[t] = m
+        txn_masks.append(m)
 
     def support(mask: int) -> int:
         return sum(1 for tm in txn_masks if tm & mask == mask)
@@ -93,14 +93,14 @@ def mine_bitmap_baseline(db: TransactionDatabase, minsup: int) -> MfiStore:
     subsumption, ascending-support order), none of its HdrStore machinery.
     Recursion is an explicit frame stack, as in ``mine_mfi``."""
     db.require_minsup(minsup)
-    n = len(db.transactions)
+    n = len(db)
     mfi = MfiStore(db.item_count)
     if n == 0 or db.item_count == 0:
         return mfi
     # One little-endian byte array per item, filled in one pass over the
     # cells and read as an int once: OR-ing bits into growing ints is quadratic.
     item_bytes = [bytearray((n + 7) // 8) for _ in range(db.item_count)]
-    for t, txn in enumerate(db.transactions):
+    for t, txn in enumerate(db.rows()):
         byte, bit = t >> 3, 1 << (t & 7)
         for x in txn:
             item_bytes[x][byte] |= bit

@@ -23,7 +23,11 @@ def verify_counts(store, pdr, tail, children=()) -> bool:
     sequence or a mask, exactly the Pdr's transactions whose rows hold its
     item (None only below the database's prune minsup). True only if
     everything agrees. Slow by design."""
-    rows, tail_set = store.db.transactions, set(tail)
+    cells, ends, tail_set = store.db.cells, store.db.ends, set(tail)
+
+    def row(t):
+        return cells[ends[t - 1] if t else 0:ends[t]]
+
     txns = list(pdr.txns)
     in_pdr = set(txns)
     if len(in_pdr) != len(pdr.txns):
@@ -31,7 +35,7 @@ def verify_counts(store, pdr, tail, children=()) -> bool:
     try:
         raw = dict.fromkeys(tail, 0)
         for t in txns:
-            for x in rows[t]:
+            for x in row(t):
                 if x in tail_set:
                     raw[x] += 1
         listed = {}
@@ -47,7 +51,7 @@ def verify_counts(store, pdr, tail, children=()) -> bool:
     if children and [y for y, _, _ in children] != list(tail):
         return False
     for y, support, child in children:
-        expected = [t for t in txns if y in rows[t]]
+        expected = [t for t in txns if y in row(t)]
         if isinstance(child, int):
             matches = child == _mask_of(expected, store.txn_count)
         elif child is None:

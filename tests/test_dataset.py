@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 from array import array
 from collections import Counter
 from copy import copy
@@ -8,11 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridmfi import (
+    CountMode,
     FimiParseError,
+    MinerConfig,
     RawDatabase,
+    build_hdr,
+    dataset,
     gen_sparse,
+    mine_bitmap_baseline,
+    mine_mfi,
     parse_fimi,
     prune_and_remap,
+    read_fimi,
     to_fimi,
 )
 
@@ -128,17 +137,17 @@ def test_global_supports_repeated_singleton():
 def test_prune_minsup2(tiny_raw):
     db, labels = prune_and_remap(tiny_raw, 2)
     assert labels == [1, 2, 3]
-    assert [tuple(labels[r] for r in txn) for txn in db.transactions] == \
+    assert [tuple(labels[r] for r in txn) for txn in db.rows()] == \
         [(1, 2), (3,), (1, 3), (2, 3), (1, 3)]
     assert db.item_count == 3
-    assert db.transactions == [(0, 1), (2,), (0, 2), (1, 2), (0, 2)]
+    assert list(db.rows()) == [(0, 1), (2,), (0, 2), (1, 2), (0, 2)]
     assert db.minsup == 2
 
 
 def test_prune_drops_everything(tiny_raw):
     db, labels = prune_and_remap(tiny_raw, 5)
     assert db.item_count == 0
-    assert db.transactions == []
+    assert list(db.rows()) == []
     assert labels == []
 
 
@@ -146,7 +155,7 @@ def test_prune_identity_at_minsup1(tiny_raw):
     db, labels = prune_and_remap(tiny_raw, 1)
     assert db.item_count == 5
     assert labels == [1, 2, 3, 4, 5]
-    relabeled = [tuple(labels[r] for r in txn) for txn in db.transactions]
+    relabeled = [tuple(labels[r] for r in txn) for txn in db.rows()]
     assert relabeled == list(tiny_raw.rows())
 
 
@@ -158,7 +167,7 @@ def test_prune_rejects_zero_minsup(tiny_raw):
 def test_prune_drops_emptied_transactions():
     raw = parse_fimi("1 2\n9\n1 2\n")
     db, _ = prune_and_remap(raw, 2)
-    assert db.transactions == [(0, 1), (0, 1)]
+    assert list(db.rows()) == [(0, 1), (0, 1)]
 
 
 def test_prune_ranks_preserve_label_order():
@@ -173,7 +182,7 @@ def test_prune_supports_meet_threshold():
         for minsup in (1, 2, 3):
             db, _ = prune_and_remap(raw, minsup)
             counts = [0] * db.item_count
-            for txn in db.transactions:
+            for txn in db.rows():
                 assert txn == tuple(sorted(set(txn))) and txn
                 for x in txn:
                     counts[x] += 1
@@ -182,10 +191,11 @@ def test_prune_supports_meet_threshold():
 
 def test_prune_counts_supports_once():
     # Pruning one raw database at three thresholds counts its supports in
-    # one pass over the cells, on the first prune only; each prune then
-    # makes its one remap pass over the row ends, slicing rows out of the
-    # cells. The databases equal fresh prunes, and the cached counts are
-    # read-only.
+    # one pass over the cells, on the first prune only. A prune that keeps
+    # every item shares the raw rows and reads neither list again; one that
+    # drops an item reads the cells twice (flags, then kept ranks) and the
+    # ends twice (where each row starts and ends). The databases equal
+    # fresh prunes, and the cached counts are read-only.
     class Passes:
         passes = 0
 
@@ -201,14 +211,17 @@ def test_prune_counts_supports_once():
 
     raw = gen_sparse(300, 30, 6, 4)
     cells, ends = Cells(raw.cells), Ends(raw.ends.typecode, raw.ends)
-    shared = RawDatabase(cells, ends)
-    thresholds = (1, 5, 20)
+    shared = RawDatabase(cells, ends, raw.labels, raw.empty_rows)
+    thresholds = (1, 30, 60)
+    assert min(raw.supports.values()) < 30  # the last two prunes drop items
     pruned = [prune_and_remap(shared, minsup) for minsup in thresholds]
-    assert (cells.passes, ends.passes) == (1, len(thresholds))
-    assert pruned == [prune_and_remap(RawDatabase(list(raw.cells), copy(raw.ends)), minsup)
+    assert (cells.passes, ends.passes) == (1 + 2 * 2, 2 * 2)
+    assert pruned[0][0].cells is cells
+    assert pruned == [prune_and_remap(RawDatabase(list(raw.cells), copy(raw.ends), raw.labels,
+                                                  raw.empty_rows), minsup)
                       for minsup in thresholds]
     assert shared.supports == raw.supports
-    assert (cells.passes, ends.passes) == (1, len(thresholds))
+    assert (cells.passes, ends.passes) == (1 + 2 * 2, 2 * 2)
     with pytest.raises(TypeError):
         shared.supports[1] = 0
 
@@ -306,17 +319,159 @@ def test_flat_layout_matches_naive_rows(text, minsup):
     rows = naive_rows(text)
     raw = parse_fimi(text)
     assert list(raw.rows()) == rows and len(raw) == len(rows)
-    assert raw.cells == [x for row in rows for x in row]
+    assert raw.labels == sorted({x for row in rows for x in row})
+    assert [raw.labels[x] for x in raw.cells] == [x for row in rows for x in row]
     assert raw == RawDatabase.from_rows(rows)
     assert raw.supports == Counter(x for row in rows for x in row)
     drop_all = max(raw.supports.values(), default=0) + 1
     for threshold in (1, 2, minsup, drop_all):
         db, labels = prune_and_remap(raw, threshold)
         expected, keep = naive_prune(rows, threshold)
-        assert db.transactions == expected
+        assert list(db.rows()) == expected
         assert labels == keep and db.item_count == len(keep)
         assert db.minsup == threshold
-    assert prune_and_remap(raw, drop_all)[0].transactions == []
+    assert list(prune_and_remap(raw, drop_all)[0].rows()) == []
     fimi = to_fimi(raw)
     assert fimi == "".join(" ".join(map(str, row)) + "\n" for row in rows)
     assert parse_fimi(fimi) == raw
+
+
+def read_in_blocks(tmp_path, monkeypatch, data: bytes, block: int) -> RawDatabase:
+    """read_fimi of ``data`` from a file, read ``block`` bytes at a time."""
+    monkeypatch.setattr(dataset, "_BLOCK_BYTES", block)
+    path = tmp_path / "blocks.dat"
+    path.write_bytes(data)
+    return read_fimi(path)
+
+
+def test_read_line_straddling_a_cut(tmp_path, monkeypatch):
+    raw = read_in_blocks(tmp_path, monkeypatch, b"10 20 30\n40 50\n", 4)
+    assert list(raw.rows()) == [(10, 20, 30), (40, 50)]
+
+
+def test_read_crlf_split_at_a_cut(tmp_path, monkeypatch):
+    # The first read ends between the \r and the \n of one line end: had
+    # the \n started a line of its own, the bad token would be on line 4.
+    data = b"1 2\r\n3 4\r\n5 x\r\n"
+    assert data[:4] == b"1 2\r"
+    with pytest.raises(FimiParseError) as exc:
+        read_in_blocks(tmp_path, monkeypatch, data, 4)
+    assert exc.value.line_no == 3
+    raw = read_in_blocks(tmp_path, monkeypatch, data.replace(b"x", b"6"), 4)
+    assert list(raw.rows()) == [(1, 2), (3, 4), (5, 6)]
+
+
+def test_read_lines_separated_by_lone_cr(tmp_path, monkeypatch):
+    raw = read_in_blocks(tmp_path, monkeypatch, b"1 2\r3\r4 5\r", 3)
+    assert list(raw.rows()) == [(1, 2), (3,), (4, 5)]
+
+
+def test_read_without_final_newline(tmp_path, monkeypatch):
+    raw = read_in_blocks(tmp_path, monkeypatch, b"1 2\n3 44", 2)
+    assert list(raw.rows()) == [(1, 2), (3, 44)]
+
+
+def test_read_skips_blank_lines_and_counts_them(tmp_path, monkeypatch):
+    data = b"\n\n1\n \n\t\n2\n\n"
+    assert list(read_in_blocks(tmp_path, monkeypatch, data, 2).rows()) == [(1,), (2,)]
+    with pytest.raises(FimiParseError) as exc:
+        read_in_blocks(tmp_path, monkeypatch, data + b"x\n", 2)
+    assert exc.value.line_no == 8
+
+
+@pytest.mark.parametrize("bad, message", [
+    (b"3 x", "not an ASCII decimal label"),
+    (b"3 " + b"9" * 5000, "too many digits"),
+    (str(2**32).encode(), "32-bit"),
+], ids=["bad_token", "overlong_label", "label_above_32_bits"])
+def test_read_reports_the_true_line_in_a_later_block(tmp_path, monkeypatch, bad, message):
+    # 50 good lines fill the first ten 16-byte blocks; the overlong label
+    # alone spans hundreds.
+    data = b"1 2\n" * 50 + bad + b"\n4\n"
+    with pytest.raises(FimiParseError) as exc:
+        read_in_blocks(tmp_path, monkeypatch, data, 16)
+    assert exc.value.line_no == 51
+    assert message in str(exc.value)
+
+
+def test_read_matches_parse_at_every_block_size(tmp_path, monkeypatch):
+    # Every cut point of a text that mixes \n, \r\n and lone \r line ends,
+    # blank lines and a last line with no line end.
+    data = b"1 2\n3 4 5\r\n\n  \n6\r7 8\r\n\t\r\n9"
+    expected = parse_fimi(data)
+    assert list(expected.rows()) == [(1, 2), (3, 4, 5), (6,), (7, 8), (9,)]
+    for block in range(1, len(data) + 2):
+        assert read_in_blocks(tmp_path, monkeypatch, data, block) == expected, block
+
+
+def test_read_and_parse_build_equal_databases(tmp_path, monkeypatch):
+    text = to_fimi(gen_sparse(500, 900, 6, 4))
+    raw = read_in_blocks(tmp_path, monkeypatch, text.encode(), 1000)
+    assert raw == parse_fimi(text.encode()) == parse_fimi(text)
+    assert raw.labels == sorted(raw.supports) and to_fimi(raw) == text
+
+
+def test_read_peak_is_the_database_and_two_blocks(tmp_path, monkeypatch):
+    # A read holds the growing cells and ends, one block's bytes or lines,
+    # and the labels, which are few here: its tracemalloc peak stays below
+    # the finished cells and ends plus two blocks. The file is 12 blocks,
+    # and its lines alone, held at once, would pass that bound.
+    block = 1 << 16
+    data = to_fimi(gen_sparse(30000, 100, 10, 5)).encode()
+    assert len(data) > 12 * block
+    assert sum(map(sys.getsizeof, data.splitlines())) > 2 * block
+    path = tmp_path / "big.dat"
+    path.write_bytes(data)
+    monkeypatch.setattr(dataset, "_BLOCK_BYTES", block)
+    tracemalloc.start()
+    try:
+        raw = read_fimi(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sys.getsizeof(raw.cells) + sys.getsizeof(raw.ends) + 2 * block
+    assert raw == parse_fimi(data)
+
+
+def test_prune_shares_the_raw_rows_when_nothing_drops():
+    raw = gen_sparse(300, 30, 6, 4)
+    db, labels = prune_and_remap(raw, min(raw.supports.values()))
+    assert db.cells is raw.cells and db.ends is raw.ends
+    assert labels == raw.labels and db.item_count == len(labels)
+
+
+def test_prune_builds_new_rows_when_an_item_or_a_row_drops():
+    raw = gen_sparse(300, 30, 6, 4)
+    db, labels = prune_and_remap(raw, min(raw.supports.values()) + 1)
+    assert db.cells is not raw.cells and db.ends is not raw.ends
+    assert len(labels) < len(raw.labels)
+    with_empty = RawDatabase.from_rows([(5, 7), (), (7, 5)])
+    assert with_empty.empty_rows and not raw.empty_rows
+    db, labels = prune_and_remap(with_empty, 1)
+    assert db.cells is not with_empty.cells and db.ends is not with_empty.ends
+    assert list(db.rows()) == [(0, 1), (0, 1)] and labels == [5, 7]
+
+
+@pytest.mark.parametrize("mode", list(CountMode), ids=lambda m: m.value)
+def test_mining_the_shared_rows_leaves_the_raw_database_unchanged(mode):
+    raw = gen_sparse(400, 25, 6, 8)
+    rows, supports, fimi = list(raw.rows()), dict(raw.supports), to_fimi(raw)
+    minsup = min(supports.values())
+    db, _ = prune_and_remap(raw, minsup)
+    assert db.cells is raw.cells
+    mined = mine_mfi(build_hdr(db), MinerConfig(minsup=minsup, mode=mode))
+    assert dict(mined) == dict(mine_bitmap_baseline(db, minsup))
+    assert list(raw.rows()) == rows and raw.supports == supports and to_fimi(raw) == fimi
+
+
+def test_databases_hold_no_tuple_per_row():
+    # Each database is its flat lists and scalars: no attribute, cached
+    # ones included, holds a tuple or any per-row object.
+    raw = RawDatabase.from_rows([(3, 1), (2,), (), (1, 2, 3)])
+    assert dict(raw.supports) == {1: 2, 2: 2, 3: 2}
+    for db in (raw, prune_and_remap(raw, 1)[0], prune_and_remap(raw, 2)[0]):
+        for name, value in vars(db).items():
+            assert type(value) in (list, array, dict, int, bool), name
+            if type(value) is list:
+                assert all(type(x) is int for x in value), name
+        assert type(db.cells) is list and db.ends.typecode == "I"

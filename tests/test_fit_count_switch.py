@@ -40,7 +40,7 @@ def test_sampled_nodes_runs_on_a_tiny_database():
     nodes = tool.sampled_nodes(store, 3, 2)
     assert nodes
     assert hybridmfi.miner.count_supports is count_supports
-    rows = db.transactions
+    rows = list(db.rows())
     for txns, tail in nodes:
         assert 0 < len(txns) < store.txn_count and list(txns) == sorted(set(txns))
         # Each node is timed horizontally as a list and by bitmap as a mask;

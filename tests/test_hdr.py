@@ -61,7 +61,7 @@ def test_build_vertical_chain(tiny_ms2):
 def test_build_single_transaction_hchain():
     db, _ = prune_and_remap(parse_fimi("1 2 3\n"), 1)
     store = build_hdr(db)
-    assert store.db.transactions == [(0, 1, 2)]
+    assert list(store.db.rows()) == [(0, 1, 2)]
     assert store.cell_count == 3
     assert list(map(list, store.item_txns)) == [[0], [0], [0]]
     assert [store.tidmask(x) for x in range(3)] == [0b1, 0b1, 0b1]
@@ -70,7 +70,7 @@ def test_build_single_transaction_hchain():
 def test_build_repeated_transaction_vertical_links():
     db, _ = prune_and_remap(parse_fimi("1\n1\n"), 1)
     store = build_hdr(db)
-    assert store.db.transactions == [(0,), (0,)]
+    assert list(store.db.rows()) == [(0,), (0,)]
     assert store.cell_count == 2
     assert list(map(list, store.item_txns)) == [[0, 1]]
     assert store.tidmask(0) == 0b11
@@ -82,17 +82,17 @@ def test_build_bitmaps_match_transactions(tiny_ms1):
     assert store.item_tidmask == [None] * db.item_count
     for x in range(db.item_count):
         bits = store.tidmask(x)
-        assert {t for t in range(len(db.transactions)) if bits >> t & 1} == \
-            {t for t, txn in enumerate(db.transactions) if x in txn}
+        assert {t for t in range(len(db)) if bits >> t & 1} == \
+            {t for t, txn in enumerate(db.rows()) if x in txn}
 
 
 def test_build_cells_grouped_by_transaction(tiny_ms1):
     # Each row is an ascending rank array, and every cell of it shows up in
     # the item's transaction list and the item's mask.
     db, _, store = tiny_ms1
-    assert store.cell_count == sum(len(txn) for txn in db.transactions)
-    assert store.row_cells == [len(txn) for txn in db.transactions]
-    for t, txn in enumerate(db.transactions):
+    assert store.cell_count == sum(len(txn) for txn in db.rows())
+    assert store.row_cells == [len(txn) for txn in db.rows()]
+    for t, txn in enumerate(db.rows()):
         assert txn == tuple(sorted(set(txn)))
         for x in txn:
             assert t in store.item_txns[x]
@@ -319,7 +319,7 @@ def test_project_cells_counts_child_row_cells(monkeypatch, tiny_ms1):
     child = project(store, root, 0)
     masked = project(store, root, 0, CountMode.BITMAP)
     assert list(child.txns) == [0, 2, 4] == list(masked.txns)
-    assert sum(len(db.transactions[t]) for t in child.txns) == 3 + 3 + 2
+    assert sum(store.row_cells[t] for t in child.txns) == 3 + 3 + 2
     monkeypatch.setattr(hdr, "_HORIZONTAL_NS", (0.0, 1.0, 0.0))
     monkeypatch.setattr(hdr, "_BUILD_NS", (0.0, 0.0))
     for flat, mode in ((9.0, CountMode.HORIZONTAL), (8.0, CountMode.BITMAP)):
@@ -377,10 +377,10 @@ def test_mode_independence_on_random_nodes():
     for seed in range(15):
         raw = gen_sparse(rng.randrange(5, 50), rng.randrange(3, 14), 3, seed)
         db, _ = prune_and_remap(raw, 2)
-        if not db.transactions:
+        if not len(db):
             continue
         store = build_hdr(db)
-        rows = [set(txn) for txn in db.transactions]
+        rows = [set(txn) for txn in db.rows()]
         pdr, tail, path = store.root_pdr(), list(range(db.item_count)), set()
         step = seed
         while True:
@@ -494,8 +494,8 @@ def test_verify_counts_catches_unsorted_item_txns(tiny_ms2):
 def test_verify_counts_catches_wrong_item(tiny_ms2):
     _, _, store = tiny_ms2
     broken = clone_store(store)
-    assert broken.db.transactions[0] == (0, 1)
-    broken.db.transactions[0] = (0, 2)  # txn 0 reads {1, 3} instead of {1, 2}
+    assert broken.db.cells[:2] == [0, 1] and broken.db.ends[0] == 2
+    broken.db.cells[1] = 2  # txn 0 reads {1, 3} instead of {1, 2}
     tail = [0, 1, 2]
     # Below the root the horizontal kernel reads the pruned rows, so it now
     # disagrees with the masks; the original store's rows are untouched.

@@ -130,6 +130,7 @@ def test_pep_containment_property():
         rows = gen_sparse(30, 8, 3, seed).rows()
         db, _ = prune_and_remap(RawDatabase.from_rows(r + (9,) if 2 in r else r for r in rows), 2)
         store = build_hdr(db)
+        rows = list(db.rows())
         root = store.root_pdr()
         tail = list(range(db.item_count))
         for i, (y, _, y_txns) in enumerate(
@@ -140,7 +141,7 @@ def test_pep_containment_property():
             for mode, same in ((CountMode.HORIZONTAL, list(pdr.txns)), (CountMode.BITMAP, mask)):
                 for x, s, child in count_supports(store, pdr, tail[i + 1:], mode):
                     if s == head_support:
-                        assert all(x in db.transactions[t] for t in pdr.txns)
+                        assert all(x in rows[t] for t in pdr.txns)
                         assert child == same
                         checked[mode] += 1
             assert pdr.txns is y_txns  # neither count changed the Pdr
@@ -390,7 +391,7 @@ def test_mfi_supports_are_exact():
         db, _ = prune_and_remap(gen_sparse(40, 10, 3, seed), minsup)
         store = build_hdr(db)
         for ranks, support in mine_mfi(store, MinerConfig(minsup=minsup)):
-            true_support = sum(1 for txn in db.transactions if ranks <= set(txn))
+            true_support = sum(1 for txn in db.rows() if ranks <= set(txn))
             assert support == true_support >= minsup
 
 
@@ -426,9 +427,10 @@ def test_mining_leaves_the_store_unchanged(mode):
     # parent to child; no count or projection may write through them.
     db, _ = prune_and_remap(gen_sparse(300, 30, 6, 4), 3)
     store = build_hdr(db)
+    rows = list(db.rows())
     mine_mfi(store, MinerConfig(minsup=3, mode=mode))
     fresh = build_hdr(db)
-    assert store.db.transactions == fresh.db.transactions
+    assert list(store.db.rows()) == rows == list(fresh.db.rows())
     assert store.item_txns == fresh.item_txns
     assert (store.cell_count, store.row_cells) == (fresh.cell_count, fresh.row_cells)
 

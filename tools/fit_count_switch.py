@@ -102,8 +102,8 @@ def time_round(nodes) -> dict[str, tuple[list, list]]:
         samples[name][1].append(ns)
 
     for store, txns, tail in nodes:
-        n, rows = store.txn_count, store.db.transactions
-        cells = sum(len(rows[t]) for t in txns)
+        n = store.txn_count
+        cells = sum(map(store.row_cells.__getitem__, txns))
         mask = TidMask(_mask_of(txns, n))
         record("horizontal", (1, cells, len(tail)), best_ns(
             lambda: count_supports(store, Pdr(txns), tail, CountMode.HORIZONTAL)))
