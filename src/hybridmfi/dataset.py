@@ -108,21 +108,16 @@ class RawDatabase(_FlatRows):
 
     @cached_property
     def _id_supports(self) -> list[int]:
-        """Number of transactions containing each item, by id."""
+        """Number of transactions containing each item, by id, counted on
+        first use in one pass over the cells."""
         counts = Counter(self.cells)
         return list(map(counts.__getitem__, range(len(self.labels))))
 
-    # Cached as a plain dict, so the database still copies and pickles; a
-    # mappingproxy does neither.
-    @cached_property
-    def _support_counts(self) -> dict[int, int]:
-        return dict(zip(self.labels, self._id_supports))
-
     @property
     def supports(self) -> Mapping[int, int]:
-        """Number of transactions containing each label: a read-only view
-        of counts made on first use, in one pass over the cells."""
-        return MappingProxyType(self._support_counts)
+        """Number of transactions containing each label, as a read-only
+        view of the counts by id."""
+        return MappingProxyType(dict(zip(self.labels, self._id_supports)))
 
 
 def _interned(cells: list[int], ends: array, distinct: Iterable[int],
@@ -186,7 +181,7 @@ def read_fimi(path) -> RawDatabase:
 
 
 def _parse_blocks(blocks: Iterable[bytes]) -> RawDatabase:
-    """The database of FIMI text given as consecutive blocks, cut anywhere.
+    r"""The database of FIMI text given as consecutive blocks, cut anywhere.
     Each block's last line, unless a \n ends it, is carried into the next
     block: it may go on there, and a \r may be the first half of a \r\n."""
     cells: list[int] = []

@@ -107,9 +107,9 @@ class HdrStore:
     """The hybrid layout. Horizontal: ``db.cells[db.ends[t - 1]:db.ends[t]]``
     (from 0 when t is 0) holds transaction t's ascending ranks and
     ``row_cells[t]`` is its length, which ``select_mode`` sums over a node's
-    transactions faster than it could take each row's length from the
-    ends. Vertical: ``item_txns[x]`` is the ascending
-    sequence of the transactions containing rank x, packed in an
+    transactions and a horizontal count subtracts from ``db.ends[t]``, both
+    faster than reading the packed ends twice. Vertical: ``item_txns[x]`` is
+    the ascending sequence of the transactions containing rank x, packed in an
     ``array('i')`` (4 bytes a cell), and ``item_tidmask[x]`` is the same set
     as a bitmask over transaction indices (None until ``tidmask(x)`` first
     builds it).

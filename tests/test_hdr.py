@@ -319,7 +319,7 @@ def test_project_cells_counts_child_row_cells(monkeypatch, tiny_ms1):
     child = project(store, root, 0)
     masked = project(store, root, 0, CountMode.BITMAP)
     assert list(child.txns) == [0, 2, 4] == list(masked.txns)
-    assert sum(store.row_cells[t] for t in child.txns) == 3 + 3 + 2
+    assert sum(len(row) for t, row in enumerate(db.rows()) if t in child.txns) == 3 + 3 + 2
     monkeypatch.setattr(hdr, "_HORIZONTAL_NS", (0.0, 1.0, 0.0))
     monkeypatch.setattr(hdr, "_BUILD_NS", (0.0, 0.0))
     for flat, mode in ((9.0, CountMode.HORIZONTAL), (8.0, CountMode.BITMAP)):
