@@ -1,17 +1,19 @@
 """Transaction database loading, pruning, and synthesis.
 
 Both databases hold their transactions in one flat layout, LCM's array
-layout (Uno et al., FIMI'04): ``cells``, one list of every row's items end
-to end, and ``ends``, a packed array of where each row ends, so row t is
-``cells[ends[t - 1]:ends[t]]`` (from 0 when t is 0) and no tuple is kept per
-row. A :class:`RawDatabase` holds each label as a dense item id, the ids
-numbering the distinct labels in ascending label order, and keeps the
-labels. Mining operates on a :class:`TransactionDatabase`, whose cells are
-ranks: the surviving frequent items form the dense range
+layout (Uno et al., FIMI'04): ``cells``, one packed array of every row's
+items end to end, and ``ends``, a packed array of where each row ends, so
+row t is ``cells[ends[t - 1]:ends[t]]`` (from 0 when t is 0) and no tuple is
+kept per row. A :class:`RawDatabase` holds each label as a dense item id,
+the ids numbering the distinct labels in ascending label order, and keeps
+the labels. Mining operates on a :class:`TransactionDatabase`, whose cells
+are ranks: the surviving frequent items form the dense range
 ``[0, item_count)`` in ascending label order. When every item survives and
 no row is empty the ranks are the ids, and the pruned database shares the
-raw database's cells and ends. Cells share their ints (one per id or rank),
-so a cell costs one pointer and not an int object of its own.
+raw database's cells and ends. The cells' typecode is the narrowest of
+``'B'``, ``'H'`` and ``'I'`` that holds every id or rank of the database,
+picked from their count, so a cell costs 1 byte up to 256 items, 2 up to
+65,536 and 4 beyond, and no object of its own.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, islice, repeat
+from struct import pack_into
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 _MAX_LABEL = 0xFFFFFFFF
 
@@ -34,6 +37,10 @@ _FIMI_BYTES = b"0123456789 \t\n\r\x0b\x0c"
 
 # read_fimi reads the file this many bytes at a time.
 _BLOCK_BYTES = 1 << 20
+
+# Cells are packed this many at a time, each step held as a list and a
+# tuple of 8-byte pointers, 64 KiB each.
+_PACK_STEP = 1 << 13
 
 # Popularity weight of the rank-k item in generated data: (k+1) ** -_GEN_SKEW.
 _GEN_SKEW = 0.6
@@ -48,19 +55,50 @@ class FimiParseError(ValueError):
 
 
 # Row ends are packed as unsigned C ints, so a database holds below 2**32
-# cells; array.append raises OverflowError past that.
+# cells; array.append raises OverflowError past that. A parse collects each
+# row's labels, all at most _MAX_LABEL, in the same typecode.
 _END_TYPECODE = "I"
+_LABEL_TYPECODE = "I"
+
+# Cell typecodes, narrowest first, each with the number of ids it holds.
+_CELL_TYPECODES = [(code, 1 << 8 * array(code).itemsize) for code in "BHI"]
+
+
+def _cell_typecode(count: int) -> str:
+    """The narrowest cell typecode that holds ids 0 to ``count - 1``."""
+    return next(code for code, ids in _CELL_TYPECODES if count <= ids)
+
+
+def _packed_cells(values: Iterator[int], size: int, count: int,
+                  tally: Callable[[list[int]], object] | None = None) -> array:
+    """The first ``size`` of ``values``, each below ``count``, packed in the
+    narrowest cell typecode. The array is allocated at exactly ``size`` and
+    filled ``_PACK_STEP`` values at a time, so it keeps no slack and no list
+    of every value is ever held. ``tally``, if given, is called with each
+    step's list of values."""
+    code = _cell_typecode(count)
+    cells = array(code, [0]) * size
+    for start in range(0, size, _PACK_STEP):
+        # struct packs a list into the array's own buffer faster than
+        # array.fromlist converts it, for the 1- and 2-byte typecodes.
+        block = list(islice(values, _PACK_STEP))
+        pack_into(f"{len(block)}{code}", cells, start * cells.itemsize, *block)
+        if tally is not None:
+            tally(block)
+    return cells
 
 
 @dataclass(frozen=True)
 class _FlatRows:
     """Rows laid out flat: row t is ``cells[ends[t - 1]:ends[t]]`` (from 0
-    when t is 0), ascending and without duplicates. ``cells`` is a list, so
-    a cell is one pointer to the int it shares with every other cell of its
-    item, and ``ends`` packs 4 bytes a row. Both are immutable by
-    convention after construction, so two databases may share them."""
+    when t is 0), ascending and without duplicates. ``cells`` packs each
+    id or rank in the narrowest typecode that holds their count, 1 to 4
+    bytes a cell, and ``ends`` packs 4 bytes a row. A slice of ``cells`` is
+    an array, and each cell read makes an int (a cached one below 257).
+    Both are immutable by convention after construction, so two databases
+    may share them."""
 
-    cells: list[int]
+    cells: array
     ends: array
 
     def __len__(self) -> int:
@@ -89,13 +127,14 @@ class RawDatabase(_FlatRows):
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> RawDatabase:
         """The database whose transactions are ``rows`` of labels, each
-        sorted and deduplicated."""
-        cells: list[int] = []
+        sorted and deduplicated. Labels are collected as unsigned 32-bit
+        ints: a negative or wider one raises OverflowError."""
+        cells = array(_LABEL_TYPECODE)
         ends = array(_END_TYPECODE)
         empty_rows = False
         for row in rows:
             start = len(cells)
-            cells.extend(sorted(set(row)))
+            cells.fromlist(sorted(set(row)))
             empty_rows = empty_rows or len(cells) == start
             ends.append(len(cells))
         return _interned(cells, ends, set(cells), empty_rows)
@@ -109,9 +148,9 @@ class RawDatabase(_FlatRows):
     @cached_property
     def _id_supports(self) -> list[int]:
         """Number of transactions containing each item, by id, counted on
-        first use in one pass over the cells."""
-        counts = Counter(self.cells)
-        return list(map(counts.__getitem__, range(len(self.labels))))
+        first use in one pass over the cells (``_interned`` fills it as it
+        packs them)."""
+        return _by_id(Counter(self.cells), len(self.labels))
 
     @property
     def supports(self) -> Mapping[int, int]:
@@ -120,20 +159,27 @@ class RawDatabase(_FlatRows):
         return MappingProxyType(dict(zip(self.labels, self._id_supports)))
 
 
-def _interned(cells: list[int], ends: array, distinct: Iterable[int],
+def _interned(labelled: array, ends: array, distinct: Iterable[int],
               empty_rows: bool) -> RawDatabase:
-    """The database of rows of label ``cells``, every cell replaced in
-    place by the id of its label among the ``distinct`` labels. Ids keep
-    label order, so each row stays ascending. The cells are remapped a
-    slice at a time, the slice and its remap together one block's bytes: a
-    remap of the whole list would hold a second one."""
+    """The database of rows of ``labelled`` cells, each cell the id of its
+    label among the ``distinct`` labels. Ids keep label order, so each row
+    stays ascending. The ids are packed a step at a time, so besides the
+    4-byte labels only one step's ids are ever held as a list."""
     labels = sorted(distinct)
     to_id = dict(zip(labels, range(len(labels)))).__getitem__
-    step = _BLOCK_BYTES // 16 or 1  # two lists of 8-byte pointers
-    for start in range(0, len(cells), step):
-        stop = start + step
-        cells[start:stop] = map(to_id, cells[start:stop])
-    return RawDatabase(cells, ends, labels, empty_rows)
+    counts: Counter[int] = Counter()
+    cells = _packed_cells(map(to_id, labelled), len(labelled), len(labels), counts.update)
+    db = RawDatabase(cells, ends, labels, empty_rows)
+    # Fill the cached supports by id: a count of each step's ids as they
+    # are packed costs less than a later count over the packed cells, each
+    # of whose reads makes an int.
+    vars(db)["_id_supports"] = _by_id(counts, len(labels))
+    return db
+
+
+def _by_id(counts: Counter[int], count: int) -> list[int]:
+    """The counts of ids 0 to ``count - 1``, in id order."""
+    return list(map(counts.__getitem__, range(count)))
 
 
 @dataclass(frozen=True)
@@ -184,7 +230,7 @@ def _parse_blocks(blocks: Iterable[bytes]) -> RawDatabase:
     r"""The database of FIMI text given as consecutive blocks, cut anywhere.
     Each block's last line, unless a \n ends it, is carried into the next
     block: it may go on there, and a \r may be the first half of a \r\n."""
-    cells: list[int] = []
+    cells = array(_LABEL_TYPECODE)
     ends = array(_END_TYPECODE)
     label_of: dict[bytes, int] = {}
     lookup = label_of.get
@@ -224,7 +270,7 @@ def _parse_blocks(blocks: Iterable[bytes]) -> RawDatabase:
                 top = max(labels)
                 if top > _MAX_LABEL:
                     raise FimiParseError(line_no, f"item {top} exceeds the 32-bit range")
-            cells.extend(sorted(labels))
+            cells.fromlist(sorted(labels))
             ends.append(len(cells))
         first_line += len(lines)
         del lines
@@ -250,15 +296,17 @@ def prune_and_remap(db: RawDatabase, minsup: int) -> tuple[TransactionDatabase, 
     if not db.empty_rows and min(supports, default=minsup) >= minsup:
         return TransactionDatabase(db.cells, db.ends, len(supports), minsup), list(db.labels)
     # Flags and ranks are lists indexed by id. Every loop below runs in C:
-    # one flag byte per cell, the kept cells mapped to ranks, and each row's
-    # new end from the count of its kept flags, rows keeping none dropped.
+    # one flag byte per cell, the kept cells mapped to ranks and packed at
+    # their count, which the supports give, and each row's new end from the
+    # count of its kept flags, rows keeping none dropped.
     kept = [count >= minsup for count in supports]
     rank_of = [rank - 1 for rank in accumulate(kept)]
     flags = bytes(map(kept.__getitem__, db.cells))
-    cells = list(map(rank_of.__getitem__, compress(db.cells, flags)))
+    labels = list(compress(db.labels, kept))
+    ranks = map(rank_of.__getitem__, compress(db.cells, flags))
+    cells = _packed_cells(ranks, sum(compress(supports, kept)), len(labels))
     row_counts = map(flags.count, repeat(1), chain((0,), db.ends), db.ends)
     ends = array(_END_TYPECODE, accumulate(filter(None, row_counts)))
-    labels = list(compress(db.labels, kept))
     return TransactionDatabase(cells, ends, len(labels), minsup), labels
 
 

@@ -1,10 +1,10 @@
 """Hybrid transaction store. The horizontal part is the pruned database
-itself, flat: transaction t's ascending ranks are one slice of a list of
-every row's ranks, cut where a packed array of row ends says. The vertical
-part is each item's ascending transaction sequence, a packed 32-bit array
-that is the root's child projection, and each item's transaction bitmask
-(bit t set iff transaction t holds the item), built from that array the
-first time a bitmap-mode count needs it.
+itself, flat: transaction t's ascending ranks are one slice of a packed
+array of every row's ranks, 1 to 4 bytes a rank, cut where a packed array
+of row ends says. The vertical part is each item's ascending transaction
+sequence, a packed 32-bit array that is the root's child projection, and
+each item's transaction bitmask (bit t set iff transaction t holds the
+item), built from that array the first time a bitmap-mode count needs it.
 
 Support counting at a search node runs over the node's projected
 transactions (its Pdr) in one of two modes, and in both the count returns
@@ -105,10 +105,11 @@ class Pdr:
 @dataclass(slots=True, eq=False)
 class HdrStore:
     """The hybrid layout. Horizontal: ``db.cells[db.ends[t - 1]:db.ends[t]]``
-    (from 0 when t is 0) holds transaction t's ascending ranks and
-    ``row_cells[t]`` is its length, which ``select_mode`` sums over a node's
-    transactions and a horizontal count subtracts from ``db.ends[t]``, both
-    faster than reading the packed ends twice. Vertical: ``item_txns[x]`` is
+    (from 0 when t is 0) holds transaction t's ascending ranks, packed in
+    the narrowest typecode for the rank count, and ``row_cells[t]`` is its
+    length, which ``select_mode`` sums over a node's transactions and a
+    horizontal count subtracts from ``db.ends[t]``, both faster than
+    reading the packed ends twice. Vertical: ``item_txns[x]`` is
     the ascending sequence of the transactions containing rank x, packed in an
     ``array('i')`` (4 bytes a cell), and ``item_tidmask[x]`` is the same set
     as a bitmask over transaction indices (None until ``tidmask(x)`` first
@@ -166,7 +167,9 @@ def build_hdr(db: TransactionDatabase) -> HdrStore:
                             f"{_MAX_TXNS} fit the store's {_TXN_TYPECODE!r} arrays")
     item_txns = [array(_TXN_TYPECODE) for _ in range(db.item_count)]
     # Appending a row's index as its 4 native bytes costs less per cell
-    # than array.append, which converts the int once per cell.
+    # than array.append, which converts the int once per cell. Each row is
+    # read as one slice of the packed ranks, an array whose iteration makes
+    # each rank's int.
     fills = [txns.frombytes for txns in item_txns]
     byteorder = sys.byteorder
     cells, ends, start = db.cells, db.ends, 0
@@ -246,7 +249,8 @@ def count_supports(store: HdrStore, pdr: Pdr, tail, mode: CountMode = CountMode.
             for y in tail:
                 delivered[y] = []
             # Row t ends at ends[t] and is row_cells[t] long: a list read
-            # costs less than a second read of the packed ends.
+            # costs less than a second read of the packed ends. The row is
+            # one slice of the packed ranks, each read making its int.
             cells, ends, row_cells = store.db.cells, store.db.ends, store.row_cells
             for t in txns:
                 end = ends[t]

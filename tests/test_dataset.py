@@ -1,9 +1,11 @@
+import gc
 import random
 import sys
 import tracemalloc
 from array import array
 from collections import Counter
 from copy import copy
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +36,7 @@ def test_parse_five_transactions(tiny_raw):
 
 def test_parse_empty_input():
     raw = parse_fimi("")
-    assert len(raw) == 0 and raw.cells == []
+    assert len(raw) == 0 and raw.cells == array("B") and raw.cells.typecode == "B"
 
 
 def test_parse_dedupes_and_sorts():
@@ -104,11 +106,16 @@ def test_parse_reports_first_bad_line_across_error_kinds():
     assert "32-bit" in str(exc.value)
 
 
-def test_parse_shares_one_int_per_label():
+def test_parse_holds_no_object_per_cell():
     raw = parse_fimi(to_fimi(gen_sparse(500, 900, 6, 4)))
     cells = raw.cells
     assert max(cells) > 256  # above CPython's small-int cache
-    assert len({id(x) for x in cells}) == len(set(cells))
+    # The cells are packed ids: the array refers to no object but its type,
+    # and its size is its header and two bytes a cell, with no slack.
+    assert type(cells) is array and cells.typecode == "H"
+    assert gc.get_referents(cells) == [array]
+    assert sys.getsizeof(cells) == sys.getsizeof(array("H")) + 2 * len(cells)
+    assert [raw.labels[x] for x in cells] == [x for row in raw.rows() for x in row]
 
 
 def test_parse_rejects_overflowing_item():
@@ -235,7 +242,7 @@ def test_gen_sparse_deterministic():
 
 def test_gen_sparse_zero_transactions():
     raw = gen_sparse(0, 20, 5, 1)
-    assert len(raw) == 0 and raw.cells == []
+    assert len(raw) == 0 and raw.cells == array("B") and raw.cells.typecode == "B"
 
 
 def test_gen_sparse_mean_length_near_target():
@@ -412,10 +419,14 @@ def test_read_and_parse_build_equal_databases(tmp_path, monkeypatch):
 
 
 def test_read_peak_is_the_database_and_two_blocks(tmp_path, monkeypatch):
-    # A read holds the growing cells and ends, one block's bytes or lines,
-    # and the labels, which are few here: its tracemalloc peak stays below
-    # the finished cells and ends plus two blocks. The file is 12 blocks,
-    # and its lines alone, held at once, would pass that bound.
+    # A read holds the growing 4-byte labels and ends, one block's bytes or
+    # lines, and the distinct labels, which are few here; then the packed
+    # ids beside the labels, and one packing step's values as a list and a
+    # tuple. Its tracemalloc peak stays below the labels (with their growth
+    # slack of 1/16), the finished cells and ends, two blocks and one step,
+    # a bound no higher than the finished cells and ends as a list of
+    # pointers plus two blocks. The file is 12 blocks, and its lines alone,
+    # held at once, would pass that bound.
     block = 1 << 16
     data = to_fimi(gen_sparse(30000, 100, 10, 5)).encode()
     assert len(data) > 12 * block
@@ -429,7 +440,11 @@ def test_read_peak_is_the_database_and_two_blocks(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < sys.getsizeof(raw.cells) + sys.getsizeof(raw.ends) + 2 * block
+    labels = sys.getsizeof(array("I", raw.cells)) * 17 // 16
+    step = 2 * 8 * dataset._PACK_STEP
+    bound = labels + sys.getsizeof(raw.cells) + sys.getsizeof(raw.ends) + 2 * block + step
+    assert peak < bound
+    assert bound <= sys.getsizeof(list(raw.cells)) + sys.getsizeof(raw.ends) + 2 * block
     assert raw == parse_fimi(data)
 
 
@@ -474,4 +489,69 @@ def test_databases_hold_no_tuple_per_row():
             assert type(value) in (list, array, dict, int, bool), name
             if type(value) is list:
                 assert all(type(x) is int for x in value), name
-        assert type(db.cells) is list and db.ends.typecode == "I"
+        assert type(db.cells) is array and db.cells.typecode == "B" and db.ends.typecode == "I"
+
+
+def distinct_labels(count):
+    """A database of ``count`` distinct labels, each in two rows: one row of
+    all of them, and one row per label."""
+    labels = range(1, count + 1)
+    return RawDatabase.from_rows(chain((labels,), zip(labels)))
+
+
+@pytest.mark.parametrize("count, itemsize", [(256, 1), (257, 2), (65536, 2), (65537, 4)])
+def test_cells_take_the_narrowest_typecode_for_their_id_count(count, itemsize):
+    raw = distinct_labels(count)
+    assert len(raw.labels) == count and raw.cells.itemsize == itemsize
+    assert max(raw.cells) == count - 1 and raw.cells.typecode == "BHI"[itemsize.bit_length() - 1]
+    assert parse_fimi(to_fimi(raw)).cells.typecode == raw.cells.typecode
+    db, _ = prune_and_remap(raw, 2)
+    assert db.cells is raw.cells
+
+
+def test_a_prune_to_256_ranks_narrows_the_cells():
+    # 257 ids, the last of them in a single row: pruned at 2, 256 ranks
+    # remain.
+    raw = RawDatabase.from_rows(list(distinct_labels(257).rows())[:-1])
+    assert len(raw.labels) == 257 and raw.cells.itemsize == 2
+    assert raw.supports[257] == 1
+    db, labels = prune_and_remap(raw, 2)
+    assert db.item_count == 256 and db.cells.typecode == "B"
+    assert list(db.rows()) == [tuple(range(256))] + [(r,) for r in range(256)]
+    assert labels == list(range(1, 257))
+
+
+@pytest.mark.parametrize("mode", list(CountMode), ids=lambda m: m.value)
+def test_mining_257_items_matches_the_baseline(mode):
+    raw = RawDatabase.from_rows(chain(gen_sparse(600, 257, 12, 3).rows(), distinct_labels(257).rows()))
+    minsup = min(raw.supports.values())
+    db, _ = prune_and_remap(raw, minsup)
+    assert db.item_count == 257 and db.cells.itemsize == 2
+    mined = mine_mfi(build_hdr(db), MinerConfig(minsup=minsup, mode=mode))
+    assert dict(mined) == dict(mine_bitmap_baseline(db, minsup))
+    assert len(dict(mined)) > 1
+
+
+def test_cells_hold_at_most_two_bytes_a_cell():
+    # A sparse database of about a thousand items, raw and pruned, shared
+    # and not: the cells never cost more than two bytes each plus the array
+    # header, so a list of pointers (8 bytes a cell) cannot come back.
+    raw = gen_sparse(3000, 1000, 10, 6)
+    assert 900 < len(raw.labels) <= 1000
+    shared, _ = prune_and_remap(raw, 1)
+    pruned, _ = prune_and_remap(raw, 10)
+    assert shared.cells is raw.cells and pruned.item_count > 256
+    for db in (raw, shared, pruned):
+        assert sys.getsizeof(db.cells) <= sys.getsizeof(array("H")) + 2 * len(db.cells)
+
+
+@pytest.mark.parametrize("minsup", [10, 20, 40])
+def test_pruned_cells_have_no_slack(minsup):
+    # A prune that drops items packs its cells at their exact count, which
+    # the supports give: the array holds no spare room.
+    raw = gen_sparse(3000, 1000, 10, 6)
+    db, labels = prune_and_remap(raw, minsup)
+    assert db.cells is not raw.cells and len(labels) < len(raw.labels)
+    assert len(db.cells) == sum(raw.supports[label] for label in labels)
+    assert sys.getsizeof(db.cells) == sys.getsizeof(array(db.cells.typecode)) + \
+        db.cells.itemsize * len(db.cells)

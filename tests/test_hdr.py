@@ -494,7 +494,7 @@ def test_verify_counts_catches_unsorted_item_txns(tiny_ms2):
 def test_verify_counts_catches_wrong_item(tiny_ms2):
     _, _, store = tiny_ms2
     broken = clone_store(store)
-    assert broken.db.cells[:2] == [0, 1] and broken.db.ends[0] == 2
+    assert broken.db.cells[:2].tolist() == [0, 1] and broken.db.ends[0] == 2
     broken.db.cells[1] = 2  # txn 0 reads {1, 3} instead of {1, 2}
     tail = [0, 1, 2]
     # Below the root the horizontal kernel reads the pruned rows, so it now
