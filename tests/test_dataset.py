@@ -499,12 +499,13 @@ def distinct_labels(count):
     return RawDatabase.from_rows(chain((labels,), zip(labels)))
 
 
-@pytest.mark.parametrize("count, itemsize", [(256, 1), (257, 2), (65536, 2), (65537, 4)])
-def test_cells_take_the_narrowest_typecode_for_their_id_count(count, itemsize):
+@pytest.mark.parametrize("count, typecode, itemsize",
+                         [(256, "B", 1), (257, "H", 2), (65536, "H", 2), (65537, "I", 4)])
+def test_cells_take_the_narrowest_typecode_for_their_id_count(count, typecode, itemsize):
     raw = distinct_labels(count)
-    assert len(raw.labels) == count and raw.cells.itemsize == itemsize
-    assert max(raw.cells) == count - 1 and raw.cells.typecode == "BHI"[itemsize.bit_length() - 1]
-    assert parse_fimi(to_fimi(raw)).cells.typecode == raw.cells.typecode
+    assert len(raw.labels) == count and max(raw.cells) == count - 1
+    assert raw.cells.typecode == typecode and raw.cells.itemsize == itemsize
+    assert parse_fimi(to_fimi(raw)).cells.typecode == typecode
     db, _ = prune_and_remap(raw, 2)
     assert db.cells is raw.cells
 
