@@ -16,7 +16,6 @@ from .hdr import (
     CountMode,
     HdrStore,
     Pdr,
-    TidMask,
     build_hdr,
     count_supports,
     project_vertical,
@@ -52,7 +51,6 @@ __all__ = [
     "CountMode",
     "HdrStore",
     "Pdr",
-    "TidMask",
     "build_hdr",
     "count_supports",
     "project_vertical",

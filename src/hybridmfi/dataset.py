@@ -334,6 +334,9 @@ def gen_sparse(n_transactions: int, n_items: int, avg_len: int, seed: int) -> Ra
         raise ValueError(f"n_transactions must be >= 0, got {n_transactions}")
     if n_items < 1:
         raise ValueError(f"n_items must be >= 1, got {n_items}")
+    if n_items > _MAX_LABEL:
+        # Checked before any per-item list is built: labels run 1..n_items.
+        raise ValueError(f"n_items must be <= {_MAX_LABEL}, got {n_items}")
     if not 0 < avg_len <= n_items:
         raise ValueError(f"avg_len must be in (0, {n_items}], got {avg_len}")
     rng = random.Random(seed)

@@ -16,10 +16,10 @@ node's transaction mask with each tail item's mask: the AND is the child's
 projection and its popcount the support. A Pdr starts as a sequence of its
 transactions: the root's is a range, a root child's its item's array, a
 deeper child's a delivered list. At each sequence node ``select_mode``
-picks the mode whose kernels cost less, by a model fitted to their timings.
-A bitmap count builds the node's mask from its sequence, so its children
-are masks, and from then on the whole subtree is masks, counted by bitmap
-only.
+picks the mode by one density rule: bitmap iff the node holds at least one
+transaction in 32. A bitmap count builds the node's mask from its
+sequence, so its children are masks, and from then on the whole subtree is
+masks, counted by bitmap only.
 """
 
 from __future__ import annotations
@@ -107,9 +107,8 @@ class HdrStore:
     """The hybrid layout. Horizontal: ``db.cells[db.ends[t - 1]:db.ends[t]]``
     (from 0 when t is 0) holds transaction t's ascending ranks, packed in
     the narrowest typecode for the rank count, and ``row_cells[t]`` is its
-    length, which ``select_mode`` sums over a node's transactions and a
-    horizontal count subtracts from ``db.ends[t]``, both faster than
-    reading the packed ends twice. Vertical: ``item_txns[x]`` is
+    length, which a horizontal count subtracts from ``db.ends[t]``, faster
+    than reading the packed ends twice. Vertical: ``item_txns[x]`` is
     the ascending sequence of the transactions containing rank x, packed in an
     ``array('i')`` (4 bytes a cell), and ``item_tidmask[x]`` is the same set
     as a bitmask over transaction indices (None until ``tidmask(x)`` first
@@ -182,41 +181,27 @@ def build_hdr(db: TransactionDatabase) -> HdrStore:
     return HdrStore(db, row_cells, item_txns, [None] * db.item_count)
 
 
-# Kernel costs in nanoseconds, fitted as select_mode records.
-_HORIZONTAL_NS = (1.7e3, 33.0, 200.0)  # per call, per row cell, per tail item
-_BITMAP_NS = (1.6e3, 150.0, 0.083)  # per call, per tail item, per tail item and transaction
-_BUILD_NS = (3.1, 41.0)  # sequence -> mask: per transaction, per one held
+# F of select_mode's density rule.
+_BITMAP_DENSITY = 32
 
 
 def select_mode(store: HdrStore, pdr: Pdr, tail_size: int) -> CountMode:
-    """The counting mode whose kernels cost less at this node. A mask Pdr
-    is counted by bitmap, and a sequence Pdr holding every transaction
-    horizontally, from the item arrays with no scan. For any other sequence
-    Pdr, with n store transactions, c row cells summed over the Pdr's
-    transactions and k tail items, horizontal costs ``_HORIZONTAL_NS``
-    per call, per c and per k, and bitmap ``_BITMAP_NS`` per call, per k
-    and per k·n, plus ``_BUILD_NS`` per n and per |pdr| to build the Pdr's
-    mask.
-
-    ``tools/fit_count_switch.py`` fitted each term by least squares on
-    relative error to its kernel's timings on 801 search nodes sampled from
-    mines of 1,000 to 100,000 transactions, three rounds each (CPython
-    3.11.7, 2-core VM): horizontal counts took 4 us to 7.7 ms, bitmap counts
-    1.5 us to 12 ms, sequence -> mask 3.5 us to 0.97 ms; median relative error
-    0.16 to 0.18 per kernel."""
+    """Bitmap for a mask Pdr. A sequence Pdr holding all n store
+    transactions is counted horizontally, from the item arrays with no scan;
+    any other by bitmap iff it holds at least n/F, F = ``_BITMAP_DENSITY``.
+    The tail goes unread: the miner's tails ascend in support, so with L̄
+    cells a row a node of n/F rows has at most F·L̄ tail items. There a
+    bitmap count (~6.7 us a tail item at n = 100,000, in proportion to n)
+    costs at most F·L̄·6.7 us against (n/F)·L̄·60 ns for a scan (~60 ns a
+    cell): a ratio of about F²/900 whatever n and L̄, 1.1 at F = 32 and 4.5
+    at F = 64 (CPython 3.11.7, 2-core VM)."""
     txns = pdr.txns
     if isinstance(txns, TidMask):
         return CountMode.BITMAP
     txn_count, size = store.txn_count, len(txns)
     if size == txn_count:
         return CountMode.HORIZONTAL
-    call, per_cell, per_tail = _HORIZONTAL_NS
-    cells = sum(map(store.row_cells.__getitem__, txns))
-    horizontal = call + per_cell * cells + per_tail * tail_size
-    call, per_tail, per_tail_txn = _BITMAP_NS
-    bitmap = (call + tail_size * (per_tail + per_tail_txn * txn_count)
-              + _BUILD_NS[0] * txn_count + _BUILD_NS[1] * size)
-    return CountMode.HORIZONTAL if horizontal < bitmap else CountMode.BITMAP
+    return CountMode.BITMAP if size * _BITMAP_DENSITY >= txn_count else CountMode.HORIZONTAL
 
 
 def count_supports(store: HdrStore, pdr: Pdr, tail, mode: CountMode = CountMode.AUTO,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridmfi import MfiStore, cli, parse_fimi, prune_and_remap
+from hybridmfi import MfiStore, cli, dataset, parse_fimi, prune_and_remap
 
 from conftest import TINY_DB
 
@@ -130,6 +130,18 @@ def test_mine_rejects_overlong_gen_field(capsys, spec):
     err = capsys.readouterr().err
     assert "generator spec field has too many digits" in err
     assert "set_int_max_str_digits" not in err
+
+
+def test_mine_rejects_an_item_count_beyond_32_bit_labels(monkeypatch, capsys):
+    # Exit 2 with the generator's message, before anything per item is
+    # allocated: a generator reached at all fails the test instead.
+    def unreachable(seed):
+        raise AssertionError("generator built before the item count was checked")
+
+    monkeypatch.setattr(dataset.random, "Random", unreachable)
+    assert cli.main(["mine", "gen:1:5000000000:1:1", "--minsup", "1"]) == 2
+    assert capsys.readouterr().err == \
+        "error: n_items must be <= 4294967295, got 5000000000\n"
 
 
 def test_mine_counters_go_to_stderr(tiny_file, capsys):

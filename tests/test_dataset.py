@@ -268,6 +268,20 @@ def test_gen_sparse_rejects_bad_avg_len():
         gen_sparse(10, 5, 6, 1)
 
 
+def test_gen_sparse_rejects_labels_beyond_32_bits(monkeypatch):
+    # Labels run 1..n_items and must fit 32 bits; the check comes before any
+    # per-item allocation, so an oversized count allocates nothing (a
+    # generator reached at all raises here instead).
+    def unreachable(seed):
+        raise AssertionError("generator built before the item count was checked")
+
+    monkeypatch.setattr(dataset.random, "Random", unreachable)
+    with pytest.raises(ValueError, match=r"n_items must be <= 4294967295, got 4294967296"):
+        gen_sparse(1, 2**32, 1, 1)
+    with pytest.raises(ValueError, match="got 5000000000"):
+        gen_sparse(1, 5_000_000_000, 1, 1)
+
+
 def test_gen_sparse_rejects_negative_count():
     with pytest.raises(ValueError):
         gen_sparse(-1, 5, 2, 1)

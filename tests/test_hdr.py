@@ -13,7 +13,6 @@ from hybridmfi import (
     HdrStore,
     MinerConfig,
     Pdr,
-    TidMask,
     build_hdr,
     count_supports,
     gen_sparse,
@@ -24,7 +23,7 @@ from hybridmfi import (
     select_mode,
 )
 from hybridmfi import hdr
-from hybridmfi.hdr import _mask_of
+from hybridmfi.hdr import TidMask, _mask_of
 
 from conftest import verify_counts
 
@@ -143,8 +142,11 @@ def test_build_rejects_indices_beyond_the_typecode(monkeypatch):
 
 
 def test_select_mode_examples():
-    # select_mode reads the store's size and, for a list Pdr, the row
-    # lengths of the Pdr's own transactions.
+    # select_mode reads the store's size and the Pdr's length: a sequence
+    # Pdr is counted by bitmap iff it holds at least one transaction in
+    # _BITMAP_DENSITY (32), whatever its rows' cells and its tail.
+    assert hdr._BITMAP_DENSITY == 32
+
     def store(txn_count, cells_of_first_rows=0, first_rows=0):
         return SimpleNamespace(txn_count=txn_count,
                                row_cells=[cells_of_first_rows] * first_rows
@@ -153,14 +155,13 @@ def test_select_mode_examples():
     # A Pdr that holds every transaction reads the item lists, whatever its
     # cells and tail.
     assert select_mode(store(5, 100, 5), Pdr(list(range(5))), 1) is CountMode.HORIZONTAL
-    # 10 of 10,000 rows under a 500-item tail: scan the 30 cells...
+    # 10 of 10,000 rows under a 500-item tail: one row in 1,000, scanned...
     assert select_mode(store(10_000, 3, 10), Pdr(list(range(10))), 500) is \
         CountMode.HORIZONTAL
-    # ...unless those 10 rows hold 30,000 cells: 500 ANDs cost less.
+    # ...and still scanned when those 10 rows hold 30,000 cells.
     assert select_mode(store(10_000, 3_000, 10), Pdr(list(range(10))), 500) is \
-        CountMode.BITMAP
-    # 1,000 of 5,000 rows and 25,000 cells under a 10-item tail: ten ANDs
-    # beat the scan even after building the node's mask.
+        CountMode.HORIZONTAL
+    # 1,000 of 5,000 rows under a 10-item tail: one row in 5, by bitmap.
     assert select_mode(store(5_000, 25, 1_000), Pdr(list(range(1000))), 10) is \
         CountMode.BITMAP
     # A mask Pdr stays a mask: bitmap, even where its rows as a list would
@@ -169,6 +170,28 @@ def test_select_mode_examples():
     assert select_mode(wide, Pdr(list(range(20))), 50) is CountMode.HORIZONTAL
     assert select_mode(wide, Pdr(TidMask((1 << 20) - 1)), 50) is CountMode.BITMAP
     assert select_mode(store(5), Pdr(TidMask(0b11111)), 1) is CountMode.BITMAP
+
+
+def test_select_mode_reads_no_row_lengths():
+    # The rule never sums the rows' lengths: a store whose row_cells raises
+    # on any read gets the same answers.
+    class Unreadable:
+        def __getitem__(self, t):
+            raise AssertionError(f"row_cells[{t!r}] read")
+
+        def __iter__(self):
+            raise AssertionError("row_cells iterated")
+
+        def __len__(self):
+            raise AssertionError("row_cells measured")
+
+    store = SimpleNamespace(txn_count=64, row_cells=Unreadable())
+    cases = [(Pdr(list(range(2))), CountMode.BITMAP),
+             (Pdr(list(range(1))), CountMode.HORIZONTAL),
+             (Pdr(range(64)), CountMode.HORIZONTAL),
+             (Pdr(TidMask(0b1)), CountMode.BITMAP)]
+    for pdr, mode in cases:
+        assert select_mode(store, pdr, 10) is mode
 
 
 def test_auto_counts_dense_root_children_as_masks():
@@ -310,22 +333,29 @@ def test_project_absent_item_gives_empty(tiny_ms1):
     assert count_supports(store, node_d, [4], CountMode.BITMAP) == [(4, 0, None)]
 
 
-def test_project_cells_counts_child_row_cells(monkeypatch, tiny_ms1):
-    # select_mode weighs a list child by its rows' summed lengths and never
-    # weighs a mask child. With a scan costing 1 per cell and a bitmap
-    # count a flat 8 or 9, the switch sits exactly on the child's 8 cells.
-    db, _, store = tiny_ms1
+def test_project_cells_counts_child_row_cells():
+    # At the rule's edge, in a database of 2·_BITMAP_DENSITY rows: a child
+    # holding two rows (one in _BITMAP_DENSITY) is counted by bitmap, one
+    # holding a row fewer is scanned, however many cells their rows hold;
+    # a mask child is counted by bitmap and a child holding every row
+    # horizontally, from the item arrays.
+    n = 2 * hdr._BITMAP_DENSITY
+    rows = ["1 2 3 " + " ".join(map(str, range(4, 40))), "1 3"] + ["3"] * (n - 2)
+    db, _ = prune_and_remap(parse_fimi("\n".join(rows) + "\n"), 1)
+    store = build_hdr(db)
+    assert store.txn_count == n
     root = store.root_pdr()
-    child = project(store, root, 0)
-    masked = project(store, root, 0, CountMode.BITMAP)
-    assert list(child.txns) == [0, 2, 4] == list(masked.txns)
-    assert sum(len(row) for t, row in enumerate(db.rows()) if t in child.txns) == 3 + 3 + 2
-    monkeypatch.setattr(hdr, "_HORIZONTAL_NS", (0.0, 1.0, 0.0))
-    monkeypatch.setattr(hdr, "_BUILD_NS", (0.0, 0.0))
-    for flat, mode in ((9.0, CountMode.HORIZONTAL), (8.0, CountMode.BITMAP)):
-        monkeypatch.setattr(hdr, "_BITMAP_NS", (flat, 0.0, 0.0))
-        assert select_mode(store, child, 2) is mode
-        assert select_mode(store, masked, 2) is CountMode.BITMAP
+    pair, single, every = (project(store, root, x) for x in (0, 1, 2))
+    assert list(pair.txns) == [0, 1] and list(single.txns) == [0]
+    assert store.row_cells[0] == 39
+    assert len(every.txns) == n
+    assert select_mode(store, pair, 2) is CountMode.BITMAP
+    assert len(pair.txns) * hdr._BITMAP_DENSITY == n
+    assert select_mode(store, single, 2) is CountMode.HORIZONTAL
+    assert select_mode(store, every, 2) is CountMode.HORIZONTAL
+    masked = project(store, root, 1, CountMode.BITMAP)
+    assert list(masked.txns) == [0]
+    assert select_mode(store, masked, 2) is CountMode.BITMAP
 
 
 def test_project_leaves_parent_untouched(tiny_ms2):

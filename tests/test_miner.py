@@ -9,6 +9,7 @@ import pytest
 
 import hybridmfi
 
+from hybridmfi import hdr
 from hybridmfi import (
     CostCounters,
     CountMode,
@@ -25,6 +26,7 @@ from hybridmfi import (
     parse_fimi,
     prune_and_remap,
 )
+from hybridmfi.cli import render_mfi
 
 from conftest import label_mfi
 
@@ -452,6 +454,36 @@ def test_counters_identical_across_modes():
                 mine_mfi(store, config, counters=counters, stats=stats)
                 billed.add((counters.cells_touched, stats.nodes_explored))
             assert len(billed) == 1, (seed, toggles, billed)
+
+
+def test_auto_mixes_modes_below_the_root(monkeypatch):
+    # A database big enough that AUTO scans some nodes below the root and
+    # counts others by bitmap (at 30 rows every node below the root is one
+    # row in 32 or more, so bitmap). Every mode and the baseline must give
+    # the same output, and the modes the same work and nodes.
+    db, labels = prune_and_remap(gen_sparse(20_000, 200, 8, 5), 40)
+    store = build_hdr(db)
+    chosen = set()
+    select_mode = hdr.select_mode
+
+    def recording(store, pdr, tail_size):
+        mode = select_mode(store, pdr, tail_size)
+        if len(pdr.txns) < store.txn_count:
+            chosen.add(mode)
+        return mode
+
+    monkeypatch.setattr(hdr, "select_mode", recording)
+    runs = set()
+    for mode in CountMode:
+        counters, stats = CostCounters(), SearchStats()
+        result = mine_mfi(store, MinerConfig(minsup=40, mode=mode),
+                          counters=counters, stats=stats)
+        runs.add((render_mfi(result, labels), counters.cells_touched,
+                  stats.nodes_explored))
+    assert chosen == {CountMode.HORIZONTAL, CountMode.BITMAP}
+    [(rendered, _, nodes)] = runs
+    assert rendered == render_mfi(mine_bitmap_baseline(db, 40), labels)
+    assert nodes > 5_000
 
 
 def test_deep_tail_survives_without_recursion():
