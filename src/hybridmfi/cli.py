@@ -21,6 +21,8 @@ import sys
 import time
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
+from itertools import chain
+from operator import sub
 
 from .dataset import (
     FimiParseError,
@@ -255,7 +257,9 @@ def cmd_bench(args) -> int:
 
 def cmd_stats(args) -> int:
     raw = _load_dataset(args.input)
-    n, lengths = len(raw), list(map(len, raw.rows()))
+    # Row lengths from the row ends: no label tuple is made per row.
+    n, ends = len(raw), raw.ends
+    lengths = list(map(sub, ends, chain((0,), ends)))
     print(f"Items={len(raw.supports)}")
     print(f"Records={n}")
     print(f"Average Length={sum(lengths) / n if n else 0:g}")

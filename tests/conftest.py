@@ -1,10 +1,22 @@
 import pytest
 
-from hybridmfi import build_hdr, parse_fimi, prune_and_remap
+from hybridmfi import build_hdr, gen_sparse, parse_fimi, prune_and_remap
 from hybridmfi.hdr import _mask_of
 
 # Five transactions over labels 1..5; the worked example used throughout.
 TINY_DB = "1 2 4\n3\n1 3 5\n2 3\n1 3\n"
+
+
+def sweep_databases():
+    """(seed, minsup, pruned database) for the 200 seeded small databases
+    of the acceptance sweep."""
+    for seed in range(200):
+        n_txns = 10 + (seed * 7) % 31
+        n_items = 4 + (seed * 5) % 12
+        avg_len = 2 + seed % 3
+        minsup = seed % 3 + 1
+        db, _ = prune_and_remap(gen_sparse(n_txns, n_items, avg_len, seed), minsup)
+        yield seed, minsup, db
 
 
 def label_mfi(store, labels):

@@ -29,7 +29,7 @@ from hybridmfi import (
     prune_and_remap,
 )
 
-from conftest import TINY_DB, label_mfi
+from conftest import TINY_DB, label_mfi, sweep_databases
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -45,13 +45,7 @@ def sweep():
     """200 seeded small databases mined three ways, with timing."""
     started = time.monotonic()
     runs = []
-    for seed in range(200):
-        n_txns = 10 + (seed * 7) % 31
-        n_items = 4 + (seed * 5) % 12
-        avg_len = 2 + seed % 3
-        minsup = seed % 3 + 1
-        raw = gen_sparse(n_txns, n_items, avg_len, seed)
-        db, _ = prune_and_remap(raw, minsup)
+    for seed, minsup, db in sweep_databases():
         store = build_hdr(db)
         mined = dict(mine_mfi(store, MinerConfig(minsup=minsup)))
         baseline = dict(mine_bitmap_baseline(db, minsup))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridmfi import MfiStore, cli, dataset, parse_fimi, prune_and_remap
+from hybridmfi import MfiStore, RawDatabase, cli, dataset, parse_fimi, prune_and_remap
 
 from conftest import TINY_DB
 
@@ -315,6 +315,25 @@ def test_stats_tiny_db(tiny_file, capsys):
     assert "Average Length=2.2" in out
     assert "Min Length=1" in out
     assert "Max Length=3" in out
+
+
+@pytest.mark.parametrize("dataset", ["tiny", "gen:200:30:6:1"])
+def test_stats_makes_no_row_tuples(tiny_file, monkeypatch, capsys, dataset):
+    # The five lines come from the row ends alone: with the raw database's
+    # row walker disabled, stats prints what the rows themselves give.
+    spec = tiny_file if dataset == "tiny" else dataset
+    rows = list(cli._load_dataset(spec).rows())
+    lengths = list(map(len, rows))
+    expected = (f"Items={len(set().union(*rows))}\nRecords={len(rows)}\n"
+                f"Average Length={sum(lengths) / len(lengths):g}\n"
+                f"Min Length={min(lengths)}\nMax Length={max(lengths)}\n")
+
+    def no_rows(self):
+        raise RuntimeError("stats made a tuple per row")
+
+    monkeypatch.setattr(RawDatabase, "rows", no_rows)
+    assert cli.main(["stats", spec]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_stats_empty_file(tmp_path, capsys):

@@ -1,15 +1,22 @@
+import contextlib
 import itertools
 import os
 import random
+import re
+import select
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hybridmfi
 
-from hybridmfi import hdr
+from hybridmfi import cli, hdr, miner
 from hybridmfi import (
     CostCounters,
     CountMode,
@@ -28,7 +35,8 @@ from hybridmfi import (
 )
 from hybridmfi.cli import render_mfi
 
-from conftest import label_mfi
+from conftest import label_mfi, sweep_databases
+from test_differential import databases
 
 
 def mine_labels(raw_text, minsup, **config_kwargs):
@@ -513,3 +521,222 @@ def test_leave_one_out_deep_path_matches_baseline(mode):
     result = mine_mfi(build_hdr(db), MinerConfig(minsup=1, mode=mode))
     assert list(result) == list(mine_bitmap_baseline(db, 1))
     assert len(result) == 1
+
+
+# Mining in two processes. Every test below forces the split: the cell gate
+# at 0 and two usable CPUs reported, whatever the host has.
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+
+
+@contextlib.contextmanager
+def forced_split():
+    """Force every mine whose root has two children or more into two
+    processes; yields the list of worker pids forked so far."""
+    forked = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(miner, "_SPLIT_CELLS", 0)
+        patch.setattr(miner, "_usable_cpus", lambda: 2)
+        patch.setattr(os, "fork", counting_fork)
+        yield forked
+
+
+def mine_both_ways(db, config):
+    """(rendered, insertion order, nodes, cells) of a one-process mine and
+    of a mine forced into two processes, and the number of workers forked."""
+    runs = []
+    for split in (False, True):
+        counters, stats = CostCounters(), SearchStats()
+        with forced_split() if split else contextlib.nullcontext([]) as forked:
+            result = mine_mfi(build_hdr(db), config, counters=counters, stats=stats)
+        runs.append((render_mfi(result, list(range(db.item_count))), list(result),
+                     stats.nodes_explored, counters.cells_touched))
+    return runs[0], runs[1], len(forked)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("mode", list(CountMode), ids=lambda m: m.value)
+def test_split_matches_one_process_on_the_sweep(mode):
+    # Same rendered output and insertion order; the counters may only grow,
+    # where a root subtree could not see a set the other process found.
+    forks = 0
+    for seed, minsup, db in sweep_databases():
+        one, two, forked = mine_both_ways(db, MinerConfig(minsup=minsup, mode=mode))
+        assert two[:2] == one[:2], seed
+        assert two[2] >= one[2] and two[3] >= one[3], seed
+        forks += forked
+    assert forks > 150
+    assert_no_child_left()
+
+
+@needs_fork
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=databases(), mode=st.sampled_from(list(CountMode)))
+def test_split_matches_one_process_on_generated_shapes(case, mode):
+    text, minsup = case
+    db, _ = prune_and_remap(parse_fimi(text), minsup)
+    one, two, _ = mine_both_ways(db, MinerConfig(minsup=minsup, mode=mode))
+    assert two[:2] == one[:2]
+    assert two[2] >= one[2] and two[3] >= one[3]
+
+
+@needs_fork
+@pytest.mark.parametrize("text, minsup, expected", [
+    ("1 2\n" * 7 + "1\n" * 18, 7, [((1, 2), 7), ((1,), 25)]),
+    ("1\n", 1, [((1,), 1)]),
+])
+@pytest.mark.parametrize("pep", [True, False], ids=["pep", "no-pep"])
+def test_split_keeps_the_sets_of_a_root_with_few_children(text, minsup, expected, pep):
+    # With PEP the first root absorbs label 1 and has one child, and the
+    # second root never has more than one: they stay in one process. Without
+    # PEP the first splits, and the worker's {1} lies inside the {1, 2} the
+    # parent found first, so the merge drops it.
+    db, labels = prune_and_remap(parse_fimi(text), minsup)
+    with forced_split() as forked:
+        result = mine_mfi(build_hdr(db), MinerConfig(minsup=minsup, enable_pep=pep))
+    maximal = [(tuple(labels[r] for r in sorted(ranks)), s) for ranks, s in result]
+    assert maximal == [entry for entry in expected if len(entry[0]) > 1 or len(expected) == 1]
+    assert len(forked) == (not pep and len(expected) > 1)
+    assert_no_child_left()
+
+
+@needs_fork
+def test_split_loses_a_dismissal_across_root_subtrees():
+    # Root children by support: 1 (3), 2 (4), 3 (5). One process finds
+    # {1, 2, 3} below 1, and FHUT (or, with it off, HUTMFI) then ends the
+    # search; the worker mines 2 without seeing {1, 2, 3} and finds {2, 3},
+    # which the merge drops. Same output, more nodes and cells.
+    db, _ = prune_and_remap(parse_fimi("1 2 3\n" * 3 + "2\n" + "3\n" * 2), 3)
+    for fhut in (True, False):
+        one, two, forked = mine_both_ways(db, MinerConfig(minsup=3, enable_fhut=fhut))
+        assert forked == 1
+        assert two[:2] == one[:2] == ("0 1 2 (3)\n", [(frozenset({0, 1, 2}), 3)])
+        assert two[2] > one[2] and two[3] > one[3]
+
+
+def split_database():
+    db, _ = prune_and_remap(gen_sparse(300, 30, 6, 4), 3)
+    return db
+
+
+def fail_in(monkeypatch, process, exc):
+    """Make count_supports raise ``exc`` below the root, in the parent or
+    in the worker only; the root is counted before the fork."""
+    parent = os.getpid()
+    count = miner.count_supports
+
+    def failing(store, pdr, *args):
+        here = "parent" if os.getpid() == parent else "worker"
+        if here == process and len(pdr.txns) < store.txn_count:
+            raise exc
+        return count(store, pdr, *args)
+
+    monkeypatch.setattr(miner, "count_supports", failing)
+
+
+@needs_fork
+def test_split_leaves_no_child_after_a_normal_return():
+    with forced_split() as forked:
+        mine_mfi(build_hdr(split_database()), MinerConfig(minsup=3))
+    assert len(forked) == 1
+    assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("process", ["parent", "worker"])
+@pytest.mark.parametrize("exc", [ValueError, AssertionError, KeyError, MemoryError])
+def test_split_raises_what_either_half_raised(monkeypatch, process, exc):
+    fail_in(monkeypatch, process, exc("injected"))
+    with forced_split() as forked, pytest.raises(exc, match="injected"):
+        mine_mfi(build_hdr(split_database()), MinerConfig(minsup=3))
+    assert len(forked) == 1
+    assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("exc, code", [(ValueError, 2), (AssertionError, 3)])
+def test_worker_failure_keeps_the_cli_exit_codes(monkeypatch, capsys, exc, code):
+    fail_in(monkeypatch, "worker", exc("injected"))
+    with forced_split() as forked:
+        assert cli.main(["mine", "gen:300:30:6:4", "--minsup", "3"]) == code
+    assert len(forked) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "injected" in captured.err
+    assert_no_child_left()
+
+
+ORPHAN_SCRIPT = r"""
+import os, sys, time
+from hybridmfi import MinerConfig, build_hdr, gen_sparse, miner, mine_mfi, prune_and_remap
+
+miner._SPLIT_CELLS = 0
+miner._usable_cpus = lambda: 2
+parent = os.getpid()
+count = miner.count_supports
+db, _ = prune_and_remap(gen_sparse(300, 30, 6, 4), 3)
+store = build_hdr(db)
+root_children = {id(txns) for txns in store.item_txns}
+
+def slow(store, pdr, *args):
+    if id(pdr.txns) in root_children:  # one call per root child entered
+        if os.getpid() == parent:
+            os.write(1, b"parent\n")
+            time.sleep(600)
+        os.write(1, f"worker {os.getpid()}\n".encode())
+        time.sleep(1)
+    return count(store, pdr, *args)
+
+miner.count_supports = slow
+mine_mfi(store, MinerConfig(minsup=3))
+"""
+
+
+@needs_fork
+def test_worker_exits_once_its_parent_is_gone():
+    # The parent blocks in its first root child and is killed. The worker,
+    # a second a root child for ~15 s in all, must notice between root
+    # children and exit: its copy of stdout is the last write end of the
+    # pipe, so the pipe reaches end of file only once the worker is gone.
+    src = str(Path(hybridmfi.__file__).resolve().parent.parent)
+    proc = subprocess.Popen([sys.executable, "-c", ORPHAN_SCRIPT], stdout=subprocess.PIPE,
+                            stderr=subprocess.DEVNULL, env={**os.environ, "PYTHONPATH": src})
+    fd, out, worker = proc.stdout.fileno(), b"", None
+
+    def read_until(done, seconds):
+        nonlocal out
+        deadline = time.monotonic() + seconds
+        while not done() and time.monotonic() < deadline:
+            if select.select([fd], [], [], deadline - time.monotonic())[0]:
+                chunk = os.read(fd, 4096)
+                if not chunk:
+                    return True  # end of file
+                out += chunk
+        return done()
+
+    try:
+        started = re.compile(rb"(?s)(?=.*parent\n).*worker (\d+)\n")
+        assert read_until(lambda: started.match(out), 30), out
+        worker = int(started.match(out).group(1))
+        proc.kill()
+        proc.wait(timeout=30)
+        assert read_until(lambda: False, 5), "the worker outlived its parent by 5 s"
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+        proc.stdout.close()
+        if worker is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(worker, signal.SIGKILL)

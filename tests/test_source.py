@@ -1,8 +1,9 @@
 """Checks on the source itself. Invariants in the package must not depend
 on the interpreter's -O flag: an ``assert`` statement or a ``__debug__``
-branch vanishes under it. No module reads the environment. README must
-show only the CLI that exists, and its library example runs. Every
-exported name has a reader outside the tests."""
+branch vanishes under it. No module reads the environment. One function
+forks, and no process pool module is imported. README must show only the
+CLI that exists, and its library example runs. Every exported name has a
+reader outside the tests."""
 
 import argparse
 import ast
@@ -42,6 +43,44 @@ def test_package_reads_no_environment():
             elif isinstance(node, ast.alias) and node.name in ("environ", "getenv"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, "environment reads: " + ", ".join(found)
+
+
+def _fork_callers(tree: ast.AST, where: str = "<module>") -> list[str]:
+    """The innermost function around each ``fork`` call in ``tree``."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _fork_callers(node, node.name)
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "fork":
+                found.append(where)
+        found += _fork_callers(node, where)
+    return found
+
+
+def test_one_function_forks_and_no_pool_is_imported():
+    # One fork site keeps the worker's lifetime in one place. A process pool
+    # module is never imported: importing multiprocessing or
+    # concurrent.futures alone raises every run's peak RSS.
+    forks, pools = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        forks += [f"{path.name}:{name}" for name in _fork_callers(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            pools += [f"{path.name}:{node.lineno} {module}" for module in modules
+                      if module.split(".")[0] == "multiprocessing"
+                      or module.startswith("concurrent")]
+    assert len(set(forks)) == 1, f"os.fork called in {sorted(set(forks))}"
+    assert not pools, "process pool imports: " + ", ".join(pools)
 
 
 def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
