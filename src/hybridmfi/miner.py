@@ -314,9 +314,10 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _splits(store: HdrStore, root_children: int) -> bool:
-    """Whether to mine the root's subtrees in two processes."""
-    return (store.cell_count >= _SPLIT_CELLS and root_children >= 2
+def _splits(store: HdrStore, children: int) -> bool:
+    """Whether to mine the subtrees of the root's ``children`` in two
+    processes."""
+    return (store.cell_count >= _SPLIT_CELLS and children >= 2
             and hasattr(os, "fork") and threading.active_count() == 1
             and _usable_cpus() >= 2)
 
@@ -329,10 +330,16 @@ def _mine_in_two(search, mfi: MfiStore, root_children: list,
     with marshal and exits. Returns the merged store and the nodes both
     halves generated. No worker outlives the call: if this half raises, the
     worker is killed and reaped; if the worker raises, its exception is
-    raised here."""
+    raised here. If no process can be forked, this one mines every root
+    child."""
     parent = os.getpid()
     read_end, write_end = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:  # e.g. EAGAIN at the process limit
+        os.close(read_end)
+        os.close(write_end)
+        return mfi, search()
     if pid == 0:
         _worker(search, mfi, counters, parent, read_end, write_end)
     os.close(write_end)

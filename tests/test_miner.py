@@ -594,22 +594,22 @@ def test_split_matches_one_process_on_generated_shapes(case, mode):
 
 
 @needs_fork
-@pytest.mark.parametrize("text, minsup, expected", [
-    ("1 2\n" * 7 + "1\n" * 18, 7, [((1, 2), 7), ((1,), 25)]),
-    ("1\n", 1, [((1,), 1)]),
+@pytest.mark.parametrize("text, minsup, expected, splits_without_pep", [
+    ("1 2\n" * 7 + "1\n" * 18, 7, [((1, 2), 7)], True),
+    ("1\n", 1, [((1,), 1)], False),
 ])
 @pytest.mark.parametrize("pep", [True, False], ids=["pep", "no-pep"])
-def test_split_keeps_the_sets_of_a_root_with_few_children(text, minsup, expected, pep):
-    # With PEP the first root absorbs label 1 and has one child, and the
-    # second root never has more than one: they stay in one process. Without
-    # PEP the first splits, and the worker's {1} lies inside the {1, 2} the
-    # parent found first, so the merge drops it.
+def test_split_keeps_the_sets_of_a_root_with_few_children(text, minsup, expected,
+                                                          splits_without_pep, pep):
+    # With PEP each root absorbs label 1 and has at most one child, and the
+    # second root never has two: those stay in one process. Without PEP the
+    # first splits, and the worker's {1} lies inside the {1, 2} the parent
+    # found first, so the merge drops it.
     db, labels = prune_and_remap(parse_fimi(text), minsup)
     with forced_split() as forked:
         result = mine_mfi(build_hdr(db), MinerConfig(minsup=minsup, enable_pep=pep))
-    maximal = [(tuple(labels[r] for r in sorted(ranks)), s) for ranks, s in result]
-    assert maximal == [entry for entry in expected if len(entry[0]) > 1 or len(expected) == 1]
-    assert len(forked) == (not pep and len(expected) > 1)
+    assert [(tuple(labels[r] for r in sorted(ranks)), s) for ranks, s in result] == expected
+    assert len(forked) == (splits_without_pep and not pep)
     assert_no_child_left()
 
 
@@ -652,6 +652,23 @@ def test_split_leaves_no_child_after_a_normal_return():
     with forced_split() as forked:
         mine_mfi(build_hdr(split_database()), MinerConfig(minsup=3))
     assert len(forked) == 1
+    assert_no_child_left()
+
+
+@needs_fork
+def test_split_falls_back_to_one_process_when_fork_fails():
+    db = split_database()
+    one, _, _ = mine_both_ways(db, MinerConfig(minsup=3))
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    counters, stats = CostCounters(), SearchStats()
+    with forced_split(), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "fork", no_fork)
+        result = mine_mfi(build_hdr(db), MinerConfig(minsup=3), counters=counters, stats=stats)
+    assert (render_mfi(result, list(range(db.item_count))), list(result), stats.nodes_explored,
+            counters.cells_touched) == one
     assert_no_child_left()
 
 
