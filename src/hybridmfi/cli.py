@@ -260,7 +260,7 @@ def cmd_stats(args) -> int:
     # Row lengths from the row ends: no label tuple is made per row.
     n, ends = len(raw), raw.ends
     lengths = list(map(sub, ends, chain((0,), ends)))
-    print(f"Items={len(raw.supports)}")
+    print(f"Items={len(raw.labels)}")
     print(f"Records={n}")
     print(f"Average Length={sum(lengths) / n if n else 0:g}")
     print(f"Min Length={min(lengths) if lengths else 0}")

@@ -8,18 +8,21 @@ item), built from that array the first time a bitmap-mode count needs it.
 
 Support counting at a search node runs over the node's projected
 transactions (its Pdr) in one of two modes, and in both the count returns
-every child's transactions with its support. A horizontal count walks each
-transaction's slice of ranks and appends the transaction to the list of
-every tail item it holds (LCM's occurrence deliver): the lists' lengths are
-the supports and each list is a child's projection. A bitmap count ANDs the
-node's transaction mask with each tail item's mask: the AND is the child's
-projection and its popcount the support. A Pdr starts as a sequence of its
-transactions: the root's is a range, a root child's its item's array, a
-deeper child's a delivered list. At each sequence node ``select_mode``
-picks the mode by one density rule: bitmap iff the node holds at least one
-transaction in 32. A bitmap count builds the node's mask from its
-sequence, so its children are masks, and from then on the whole subtree is
-masks, counted by bitmap only.
+every child's support with what its projection is built from. A
+horizontal count walks each transaction's slice of ranks and appends the
+transaction to the list of every tail item it holds (LCM's occurrence
+deliver): the lists' lengths are the supports and each list is a child's
+projection. A bitmap count popcounts the AND of the node's transaction
+mask with each tail item's mask and returns the node's one mask for every
+child; entering a child ANDs it with the child's item mask, as MAFIA
+builds a node's bitmap when the search generates the node. So a search
+path holds one mask per bitmap node, not one per unentered child. A Pdr
+starts as a sequence of its transactions: the root's is a range, a root
+child's its item's array, a deeper child's a delivered list. At each
+sequence node ``select_mode`` picks the mode by one density rule: bitmap
+iff the node holds at least one transaction in 32. A bitmap count builds
+the node's mask from its sequence, so its children are masks, and from
+then on the whole subtree is masks, counted by bitmap only.
 """
 
 from __future__ import annotations
@@ -185,11 +188,11 @@ def build_hdr(db: TransactionDatabase) -> HdrStore:
 _BITMAP_DENSITY = 32
 
 
-def select_mode(store: HdrStore, pdr: Pdr, tail_size: int) -> CountMode:
+def select_mode(store: HdrStore, pdr: Pdr) -> CountMode:
     """Bitmap for a mask Pdr. A sequence Pdr holding all n store
     transactions is counted horizontally, from the item arrays with no scan;
     any other by bitmap iff it holds at least n/F, F = ``_BITMAP_DENSITY``.
-    The tail goes unread: the miner's tails ascend in support, so with L̄
+    It takes no tail: the miner's tails ascend in support, so with L̄
     cells a row a node of n/F rows has at most F·L̄ tail items. There a
     bitmap count (~6.7 us a tail item at n = 100,000, in proportion to n)
     costs at most F·L̄·6.7 us against (n/F)·L̄·60 ns for a scan (~60 ns a
@@ -206,22 +209,20 @@ def select_mode(store: HdrStore, pdr: Pdr, tail_size: int) -> CountMode:
 
 def count_supports(store: HdrStore, pdr: Pdr, tail, mode: CountMode = CountMode.AUTO,
                    counters: CostCounters | None = None
-                   ) -> list[tuple[int, int, Sequence[int] | int | None]]:
-    """(y, support of head∪{y}, child transactions) for every tail item y,
-    in tail order, over the node's projected transactions. Horizontal mode
+                   ) -> list[tuple[int, int, Sequence[int] | int]]:
+    """(y, support of head∪{y}, what the child's Pdr is built from) for every
+    tail item y, in tail order, over the node's projected transactions;
+    ``project_vertical`` builds the Pdr from it and y. Horizontal mode
     appends each transaction to the list of every tail item its row holds
     and returns the lists; a Pdr holding every transaction returns the
-    store's ``item_txns`` arrays, with no scan. Bitmap mode ANDs the Pdr's
-    mask (built here from a sequence Pdr) with each tail item's mask and
-    returns the int masks, but None for a child below the minsup the
-    database was pruned at, which no mine of the store can branch on: every
-    mask spans the whole database, so a wide node's infrequent masks are
-    freed as soon as they are popcounted, as ``mine_bitmap_baseline`` frees
-    them. A mask Pdr counted horizontally raises ValueError. The Pdr is
+    store's ``item_txns`` arrays, with no scan. Bitmap mode popcounts the
+    AND of the Pdr's mask (built here from a sequence Pdr) with each tail
+    item's mask and returns that one int mask, the same object, for every
+    child. A mask Pdr counted horizontally raises ValueError. The Pdr is
     never changed. Both modes give identical supports and bill identical
     work."""
     if mode is CountMode.AUTO:
-        mode = select_mode(store, pdr, len(tail))
+        mode = select_mode(store, pdr)
     txns = pdr.txns
     if mode is CountMode.HORIZONTAL:
         if isinstance(txns, TidMask):
@@ -245,22 +246,18 @@ def count_supports(store: HdrStore, pdr: Pdr, tail, mode: CountMode = CountMode.
                         occurrences.append(t)
         children = [(y, len(delivered[y]), delivered[y]) for y in tail]
     else:
-        n = store.txn_count
-        bits = txns.bits if isinstance(txns, TidMask) else _mask_of(txns, n)
-        tidmask, minsup = store.tidmask, store.db.minsup
-        children = []
-        for y in tail:
-            child = bits & tidmask(y)
-            support = child.bit_count()
-            children.append((y, support, child if support >= minsup else None))
+        bits = txns.bits if isinstance(txns, TidMask) else _mask_of(txns, store.txn_count)
+        tidmask = store.tidmask
+        children = [(y, (bits & tidmask(y)).bit_count(), bits) for y in tail]
     if counters is not None:
         counters.cells_touched += sum(support for _, support, _ in children)
     return children
 
 
-def project_vertical(store: HdrStore, parent: Pdr, txns: Sequence[int] | int) -> Pdr:
-    """The Pdr of a child ``count_supports`` returned for ``parent``: a
-    sequence as it is, a mask as a TidMask. The store and the parent go
+def project_vertical(store: HdrStore, parent: Pdr, txns: Sequence[int] | int, y: int) -> Pdr:
+    """The Pdr of the child on item y, from what ``count_supports``
+    returned for it under ``parent``: a sequence as it is, the node's mask
+    ANDed with y's mask as a TidMask. The parent goes
     unread; the benchmark's span recorder (perfbench/spans.py) tells root
-    projections from scan projections by them."""
-    return Pdr(TidMask(txns) if isinstance(txns, int) else txns)
+    projections from scan projections by it and the store."""
+    return Pdr(TidMask(txns & store.tidmask(y)) if isinstance(txns, int) else txns)

@@ -3,11 +3,11 @@
 Itemsets travel through the engine as integer bitmasks over item ranks;
 iterating a mined MfiStore yields rank sets. Each search node carries a head
 (the itemset mined so far), an ordered tail of candidate extensions, and its
-Pdr projection. One counting call per node returns every child's support
-and transactions; the node's frame keeps those of the children it branches
-on, so entering a child does no further counting or intersection. Three
-prunes cut the tree: parent-equivalence (tail items whose support matches
-the head's move straight into the head), a look-ahead that abandons
+Pdr projection. One counting call per node returns every child's support and
+the source of its projection: the list a horizontal count delivered, or the
+node's one mask, which entering the child ANDs with the child's item mask.
+Three prunes cut the tree: parent-equivalence (tail items whose support
+matches the head's move straight into the head), a look-ahead that abandons
 siblings once the leftmost subtree proves the node's entire head∪tail
 frequent, and subsumption (a node whose head∪tail already sits inside a
 known maximal set is dismissed before any counting). The MFI store is a
@@ -216,7 +216,8 @@ def mine_mfi(
         # True/False when the node finishes at once, telling whether
         # head∪tail is known frequent (and covered); None once it has
         # pushed a frame for its children.
-        # (item, support, transactions) of each child to branch on
+        # (item, support, delivered list or node mask) of each child to
+        # branch on
         children: list[tuple[int, int, Sequence[int] | int]] = []
         all_frequent = True
         if tail:
@@ -285,7 +286,7 @@ def mine_mfi(
                 proved = True  # generated, dismissed before any counting
                 continue
             tail = [entry[0] for entry in children[i + 1:]]
-            child_pdr = project_vertical(store, pdr, child_txns)
+            child_pdr = project_vertical(store, pdr, child_txns, x)
             proved = enter(child_head, x_support, tail, child_pdr, child_view)
         return nodes
 

@@ -1,7 +1,7 @@
 import pytest
 
-from hybridmfi import build_hdr, gen_sparse, parse_fimi, prune_and_remap
-from hybridmfi.hdr import _mask_of
+from hybridmfi import build_hdr, gen_sparse, parse_fimi, project_vertical, prune_and_remap
+from hybridmfi.hdr import TidMask, _mask_of
 
 # Five transactions over labels 1..5; the worked example used throughout.
 TINY_DB = "1 2 4\n3\n1 3 5\n2 3\n1 3\n"
@@ -31,10 +31,10 @@ def verify_counts(store, pdr, tail, children=()) -> bool:
     sequences, AND and popcount of the item masks) and check that every
     item's transaction sequence is strictly ascending, that the Pdr holds no
     transaction twice and that each of ``children``, as ``count_supports``
-    returns them, is in tail order with its item's support and, as a
-    sequence or a mask, exactly the Pdr's transactions whose rows hold its
-    item (None only below the database's prune minsup). True only if
-    everything agrees. Slow by design."""
+    returns them, is in tail order with its item's support and projects
+    (``project_vertical``) to exactly the Pdr's transactions whose rows
+    hold its item, as a sequence or as a mask. True only if everything
+    agrees. Slow by design."""
     cells, ends, tail_set = store.db.cells, store.db.ends, set(tail)
 
     def row(t):
@@ -64,12 +64,11 @@ def verify_counts(store, pdr, tail, children=()) -> bool:
         return False
     for y, support, child in children:
         expected = [t for t in txns if y in row(t)]
-        if isinstance(child, int):
-            matches = child == _mask_of(expected, store.txn_count)
-        elif child is None:
-            matches = support < store.db.minsup
+        built = project_vertical(store, pdr, child, y).txns
+        if isinstance(built, TidMask):
+            matches = built.bits == _mask_of(expected, store.txn_count)
         else:
-            matches = list(child) == expected
+            matches = built is not None and list(built) == expected
         if not matches or support != raw[y]:
             return False
     return raw == listed == masked

@@ -26,6 +26,7 @@ from hybridmfi import (
     mine_bitmap_baseline,
     mine_mfi,
     parse_fimi,
+    project_vertical,
     prune_and_remap,
 )
 
@@ -80,14 +81,16 @@ def test_root_counting_costs(tiny_raw):
     tail = list(range(store.item_count))
     billed = {}
     shared = True
+    root = store.root_pdr()
     for mode in (CountMode.HORIZONTAL, CountMode.BITMAP, CountMode.AUTO):
         counters = CostCounters()
-        children = count_supports(store, store.root_pdr(), tail, mode, counters)
+        children = count_supports(store, root, tail, mode, counters)
         billed[mode.value] = counters.cells_touched
         # A sequence child of the root is its item's array itself; a mask
-        # child is its item's mask.
-        shared &= all(child == store.tidmask(y) if isinstance(child, int)
-                      else child is store.item_txns[y] for y, _, child in children)
+        # child projects to its item's mask.
+        shared &= all(project_vertical(store, root, child, y).txns.bits == store.tidmask(y)
+                      if isinstance(child, int) else child is store.item_txns[y]
+                      for y, _, child in children)
     elapsed = time.monotonic() - started
     ok = set(billed.values()) == {11} and shared and elapsed < 1.0
     report(2, ok, "root counting bills "

@@ -46,7 +46,7 @@ def project(store, parent, y, mode=CountMode.HORIZONTAL):
     """The child of ``parent`` on item y, as mine_mfi builds it: the
     transactions a count of the parent over a tail holding y returned."""
     [(_, _, txns)] = count_supports(store, parent, [y], mode)
-    return project_vertical(store, parent, txns)
+    return project_vertical(store, parent, txns, y)
 
 
 def test_build_vertical_chain(tiny_ms2):
@@ -142,9 +142,9 @@ def test_build_rejects_indices_beyond_the_typecode(monkeypatch):
 
 
 def test_select_mode_examples():
-    # select_mode reads the store's size and the Pdr's length: a sequence
-    # Pdr is counted by bitmap iff it holds at least one transaction in
-    # _BITMAP_DENSITY (32), whatever its rows' cells and its tail.
+    # select_mode reads the store's size and the Pdr's length, and takes no
+    # tail: a sequence Pdr is counted by bitmap iff it holds at least one
+    # transaction in _BITMAP_DENSITY (32), whatever its rows' cells.
     assert hdr._BITMAP_DENSITY == 32
 
     def store(txn_count, cells_of_first_rows=0, first_rows=0):
@@ -153,23 +153,23 @@ def test_select_mode_examples():
                                + [1] * (txn_count - first_rows))
 
     # A Pdr that holds every transaction reads the item lists, whatever its
-    # cells and tail.
-    assert select_mode(store(5, 100, 5), Pdr(list(range(5))), 1) is CountMode.HORIZONTAL
-    # 10 of 10,000 rows under a 500-item tail: one row in 1,000, scanned...
-    assert select_mode(store(10_000, 3, 10), Pdr(list(range(10))), 500) is \
+    # cells.
+    assert select_mode(store(5, 100, 5), Pdr(list(range(5)))) is CountMode.HORIZONTAL
+    # 10 of 10,000 rows: one row in 1,000, scanned...
+    assert select_mode(store(10_000, 3, 10), Pdr(list(range(10)))) is \
         CountMode.HORIZONTAL
     # ...and still scanned when those 10 rows hold 30,000 cells.
-    assert select_mode(store(10_000, 3_000, 10), Pdr(list(range(10))), 500) is \
+    assert select_mode(store(10_000, 3_000, 10), Pdr(list(range(10)))) is \
         CountMode.HORIZONTAL
-    # 1,000 of 5,000 rows under a 10-item tail: one row in 5, by bitmap.
-    assert select_mode(store(5_000, 25, 1_000), Pdr(list(range(1000))), 10) is \
+    # 1,000 of 5,000 rows: one row in 5, by bitmap.
+    assert select_mode(store(5_000, 25, 1_000), Pdr(list(range(1000)))) is \
         CountMode.BITMAP
     # A mask Pdr stays a mask: bitmap, even where its rows as a list would
-    # be scanned (20 rows under a 50-item tail), and even holding every row.
+    # be scanned (20 rows of 100,000), and even holding every row.
     wide = store(100_000, 5, 20)
-    assert select_mode(wide, Pdr(list(range(20))), 50) is CountMode.HORIZONTAL
-    assert select_mode(wide, Pdr(TidMask((1 << 20) - 1)), 50) is CountMode.BITMAP
-    assert select_mode(store(5), Pdr(TidMask(0b11111)), 1) is CountMode.BITMAP
+    assert select_mode(wide, Pdr(list(range(20)))) is CountMode.HORIZONTAL
+    assert select_mode(wide, Pdr(TidMask((1 << 20) - 1))) is CountMode.BITMAP
+    assert select_mode(store(5), Pdr(TidMask(0b11111))) is CountMode.BITMAP
 
 
 def test_select_mode_reads_no_row_lengths():
@@ -191,14 +191,14 @@ def test_select_mode_reads_no_row_lengths():
              (Pdr(range(64)), CountMode.HORIZONTAL),
              (Pdr(TidMask(0b1)), CountMode.BITMAP)]
     for pdr, mode in cases:
-        assert select_mode(store, pdr, 10) is mode
+        assert select_mode(store, pdr) is mode
 
 
 def test_auto_counts_dense_root_children_as_masks():
     # The ROADMAP dense database: every child of the root, counted under the
     # tail the miner gives it, is cheaper as one AND per tail item than as a
-    # scan of ~25-cell rows, so AUTO returns each one's children as masks
-    # (None for those below the prune minsup).
+    # scan of ~25-cell rows, so AUTO returns for each one's children the
+    # node's one mask, which projects to the child's own.
     db, _ = prune_and_remap(gen_sparse(5000, 80, 25, 3), 350)
     store = build_hdr(db)
     root = store.root_pdr()
@@ -206,9 +206,10 @@ def test_auto_counts_dense_root_children_as_masks():
     assert all(txns is store.item_txns[y] for y, _, txns in counted)
     counted.sort(key=lambda entry: (entry[1], entry[0]))
     for i, (y, support, txns) in enumerate(counted[:-1]):
-        child = project_vertical(store, root, txns)
+        child = project_vertical(store, root, txns, y)
         grand = count_supports(store, child, [entry[0] for entry in counted[i + 1:]])
-        assert all(type(g) is int if s >= 350 else g is None for _, s, g in grand), y
+        mask = _mask_of(txns, store.txn_count)
+        assert all(g == mask and g is grand[0][2] for _, _, g in grand), y
         assert child.txns is txns
 
 
@@ -253,9 +254,9 @@ def test_count_root_bitmap_cost(tiny_ms1):
 
 
 def test_count_node_after_projection(tiny_ms2):
-    # The database was pruned at minsup 2, so a bitmap count returns no mask
-    # for the support-1 child; it still counts and bills it. A horizontal
-    # count returns every list its scan delivered.
+    # A horizontal count returns every list its scan delivered; a bitmap
+    # count returns the node's mask for every child, support-1 one
+    # included, and each projects to the same transactions as the list.
     _, _, store = tiny_ms2
     pdr = project(store, store.root_pdr(), 0)
     assert list(pdr.txns) == [0, 2, 4]
@@ -264,7 +265,9 @@ def test_count_node_after_projection(tiny_ms2):
     bitmap = count_supports(store, pdr, [1, 2], CountMode.BITMAP, counters)
     assert supports(horizontal) == supports(bitmap) == {1: 1, 2: 2}
     assert [txns for _, _, txns in horizontal] == [[0], [2, 4]]
-    assert [txns for _, _, txns in bitmap] == [None, 0b10100]
+    assert [txns for _, _, txns in bitmap] == [0b10101, 0b10101]
+    assert [list(project_vertical(store, pdr, txns, y).txns) for y, _, txns in bitmap] == \
+        [[0], [2, 4]]
     assert counters.cells_touched == 3
 
 
@@ -284,7 +287,7 @@ def test_count_auto_resolves_per_call(tiny_ms1):
     children = count_supports(store, child, [0, 1, 3, 4], CountMode.AUTO, counters)
     assert supports(children) == {0: 2, 1: 1, 3: 0, 4: 1}
     _, _, txns = children[0]
-    grand = project_vertical(store, child, txns)
+    grand = project_vertical(store, child, txns, 0)
     children = count_supports(store, grand, [4], CountMode.AUTO, counters)
     assert supports(children) == {4: 1} and type(children[0][2]) is int
     assert isinstance(child.txns, TidMask) and isinstance(grand.txns, TidMask)
@@ -319,7 +322,7 @@ def test_project_from_root_uses_ascending_txns(tiny_ms2):
     assert list(child.txns) == [0, 2, 4] and child.txns is store.item_txns[0]
     (_, _, first), (_, _, second) = count_supports(store, child, [1, 2],
                                                    CountMode.HORIZONTAL)
-    grand = project_vertical(store, child, second)
+    grand = project_vertical(store, child, second, 2)
     assert grand.txns == [2, 4] and grand.txns is second and first == [0]
 
 
@@ -329,8 +332,11 @@ def test_project_absent_item_gives_empty(tiny_ms1):
     assert list(node_d.txns) == [0]
     empty = project(store, node_d, 4)
     assert empty.txns == []
-    # No mine branches on an empty child, so a bitmap count keeps no mask.
-    assert count_supports(store, node_d, [4], CountMode.BITMAP) == [(4, 0, None)]
+    # A bitmap count returns the node's mask for the empty child too, and
+    # it projects to nothing.
+    [(y, support, mask)] = count_supports(store, node_d, [4], CountMode.BITMAP)
+    assert (y, support, mask) == (4, 0, 0b1)
+    assert project_vertical(store, node_d, mask, 4).txns.bits == 0
 
 
 def test_project_cells_counts_child_row_cells():
@@ -349,31 +355,29 @@ def test_project_cells_counts_child_row_cells():
     assert list(pair.txns) == [0, 1] and list(single.txns) == [0]
     assert store.row_cells[0] == 39
     assert len(every.txns) == n
-    assert select_mode(store, pair, 2) is CountMode.BITMAP
+    assert select_mode(store, pair) is CountMode.BITMAP
     assert len(pair.txns) * hdr._BITMAP_DENSITY == n
-    assert select_mode(store, single, 2) is CountMode.HORIZONTAL
-    assert select_mode(store, every, 2) is CountMode.HORIZONTAL
+    assert select_mode(store, single) is CountMode.HORIZONTAL
+    assert select_mode(store, every) is CountMode.HORIZONTAL
     masked = project(store, root, 1, CountMode.BITMAP)
     assert list(masked.txns) == [0]
-    assert select_mode(store, masked, 2) is CountMode.BITMAP
+    assert select_mode(store, masked) is CountMode.BITMAP
 
 
 def test_project_leaves_parent_untouched(tiny_ms2):
     # Neither a count nor a projection changes the Pdr it reads, in either
-    # mode; a bitmap count's children are masks (None below the prune
-    # minsup, 2) and a horizontal count's are lists. A Pdr cannot be
-    # assigned to at all.
+    # mode; a bitmap count's children are the node's one mask and a
+    # horizontal count's are lists. A Pdr cannot be assigned to at all.
     _, _, store = tiny_ms2
     for mode, kinds in ((CountMode.HORIZONTAL, [list, list]),
-                        (CountMode.BITMAP, [int, type(None)])):
+                        (CountMode.BITMAP, [int, int])):
         parent = project(store, store.root_pdr(), 2)
         txns = parent.txns
         before = list(txns)
         children = count_supports(store, parent, [0, 1], mode)
         assert [type(child) for _, _, child in children] == kinds
-        for _, _, child in children:
-            if child is not None:
-                project_vertical(store, parent, child)
+        for y, _, child in children:
+            project_vertical(store, parent, child, y)
         assert parent.txns is txns and list(txns) == before == [1, 2, 3, 4]
         assert type(txns) is array and parent == Pdr(array("i", before))
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -397,11 +401,11 @@ def test_root_pdr_cells_is_cell_count(tiny_ms1):
 def test_mode_independence_on_random_nodes():
     # Every node is counted both ways: horizontally as a sequence and by
     # bitmap, one of them on a list copy, and both return the same supports
-    # and the same children, but that a bitmap count keeps no mask below the
-    # prune minsup. At two steps of three a sequence node (the root's range,
-    # a root child's item array, a delivered list) descends to a horizontal
-    # count's child; otherwise it descends to a bitmap count's mask child,
-    # and so does its whole subtree.
+    # and children that project to the same transactions. At two steps of
+    # three a sequence node (the root's range, a root child's item array, a
+    # delivered list) descends to a horizontal count's child; otherwise it
+    # descends to a bitmap count's mask child at the prune minsup, 2, and so
+    # does its whole subtree.
     rng = random.Random(17)
     born = set()
     for seed in range(15):
@@ -422,23 +426,23 @@ def test_mode_independence_on_random_nodes():
             copied = Pdr(list(pdr.txns))
             keep_list = not isinstance(pdr.txns, TidMask) and step % 3
             txns = pdr.txns
-            horizontal = count_supports(store, pdr if keep_list else copied, tail,
-                                        CountMode.HORIZONTAL)
-            bitmap = count_supports(store, copied if keep_list else pdr, tail,
-                                    CountMode.BITMAP)
+            listed, masked = (pdr, copied) if keep_list else (copied, pdr)
+            horizontal = count_supports(store, listed, tail, CountMode.HORIZONTAL)
+            bitmap = count_supports(store, masked, tail, CountMode.BITMAP)
             assert pdr.txns is txns
             for (y, s, lst), (z, u, mask) in zip(horizontal, bitmap):
                 child = [t for t in expected if y in rows[t]]
                 assert (y, s, list(lst)) == (z, u, child)
-                assert mask == (_mask_of(child, len(rows)) if s >= 2 else None)
+                assert project_vertical(store, masked, mask, z).txns.bits == \
+                    _mask_of(child, len(rows))
             assert [y for y, _, _ in horizontal] == tail
-            choices = [c for c in (horizontal if keep_list else bitmap) if c[2] is not None]
+            choices = horizontal if keep_list else [c for c in bitmap if c[1] >= 2]
             if not choices:
                 break
             y, _, child = rng.choice(choices)
             tail = [x for x in tail if x != y]
             path.add(y)
-            pdr = project_vertical(store, pdr, child)
+            pdr = project_vertical(store, pdr, child, y)
             born.add(type(pdr.txns))
             step += 1
     assert born == {array, list, TidMask}
@@ -454,7 +458,7 @@ def test_projection_support_identity():
         pdr = store.root_pdr()
         tail = list(range(db.item_count))
         for y, support, txns in count_supports(store, pdr, tail, CountMode.BITMAP):
-            child = project_vertical(store, pdr, txns)
+            child = project_vertical(store, pdr, txns, y)
             # The root was counted in bitmap mode, so the child is a mask.
             assert isinstance(child.txns, TidMask)
             listed = list(child.txns)
@@ -558,7 +562,7 @@ def test_verify_counts_catches_wrong_delivered_list(tiny_ms2):
         children = count_supports(store, child, tail, mode)
         assert verify_counts(store, child, tail, children)
         (y, support, txns), second = children
-        assert (y, support, list(project_vertical(store, child, txns).txns)) == \
+        assert (y, support, list(project_vertical(store, child, txns, y).txns)) == \
             (0, 2, [2, 4])
         dropped = txns[1:] if mode is CountMode.HORIZONTAL else txns & ~(1 << 2)
         assert not verify_counts(store, child, tail, [(y, support, dropped), second])

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -133,7 +134,6 @@ def test_pep_containment_property():
     # head; label 9, planted in every transaction that holds label 2, gives
     # the head {2} such an extension in every database.
     from hybridmfi import RawDatabase, count_supports, project_vertical
-    from hybridmfi.hdr import _mask_of
 
     checked = {CountMode.HORIZONTAL: 0, CountMode.BITMAP: 0}
     for seed in range(10):
@@ -145,14 +145,14 @@ def test_pep_containment_property():
         tail = list(range(db.item_count))
         for i, (y, _, y_txns) in enumerate(
                 count_supports(store, root, tail, CountMode.HORIZONTAL)):
-            pdr = project_vertical(store, root, y_txns)
+            pdr = project_vertical(store, root, y_txns, y)
             head_support = len(pdr.txns)
-            mask = _mask_of(pdr.txns, store.txn_count)
-            for mode, same in ((CountMode.HORIZONTAL, list(pdr.txns)), (CountMode.BITMAP, mask)):
+            for mode in (CountMode.HORIZONTAL, CountMode.BITMAP):
                 for x, s, child in count_supports(store, pdr, tail[i + 1:], mode):
                     if s == head_support:
                         assert all(x in rows[t] for t in pdr.txns)
-                        assert child == same
+                        assert list(project_vertical(store, pdr, child, x).txns) == \
+                            list(pdr.txns)
                         checked[mode] += 1
             assert pdr.txns is y_txns  # neither count changed the Pdr
     assert min(checked.values()) >= 10, checked  # the planted one per seed, at least
@@ -474,8 +474,8 @@ def test_auto_mixes_modes_below_the_root(monkeypatch):
     chosen = set()
     select_mode = hdr.select_mode
 
-    def recording(store, pdr, tail_size):
-        mode = select_mode(store, pdr, tail_size)
+    def recording(store, pdr):
+        mode = select_mode(store, pdr)
         if len(pdr.txns) < store.txn_count:
             chosen.add(mode)
         return mode
@@ -506,6 +506,15 @@ def test_deep_tail_survives_without_recursion():
     assert label_mfi(result, labels) == {frozenset(range(1, n + 1)): 1}
 
 
+def leave_one_out(n):
+    """The database of n rows over labels 1..n, row j lacking label j, and
+    one full row, pruned at minsup 1."""
+    labels = range(1, n + 1)
+    rows = [" ".join(str(x) for x in labels if x != j) for j in labels]
+    rows.append(" ".join(str(x) for x in labels))
+    return prune_and_remap(parse_fimi("\n".join(rows) + "\n"), 1)[0]
+
+
 @pytest.mark.parametrize("mode", list(CountMode), ids=lambda m: m.value)
 def test_leave_one_out_deep_path_matches_baseline(mode):
     # Every row but one drops a single item, so the leftmost path descends
@@ -513,14 +522,29 @@ def test_leave_one_out_deep_path_matches_baseline(mode):
     # must give the baseline's sets, supports and insertion order. Bitmap
     # counting (which AUTO picks here) runs the 1100-item path in about a
     # second; the horizontal scan grows as n^3 and stays at n = 200.
-    n = 200 if mode is CountMode.HORIZONTAL else 1100
-    labels = range(1, n + 1)
-    rows = [" ".join(str(x) for x in labels if x != j) for j in labels]
-    rows.append(" ".join(str(x) for x in labels))
-    db, _ = prune_and_remap(parse_fimi("\n".join(rows) + "\n"), 1)
+    db = leave_one_out(200 if mode is CountMode.HORIZONTAL else 1100)
     result = mine_mfi(build_hdr(db), MinerConfig(minsup=1, mode=mode))
     assert list(result) == list(mine_bitmap_baseline(db, 1))
     assert len(result) == 1
+
+
+def test_leave_one_out_path_holds_one_mask_per_frame():
+    # AUTO counts every node below the root of this input by bitmap, down a
+    # 600-deep path whose frames hold ~180,000 children. Each frame keeps
+    # its node's one 600-bit mask for all of them, so the mine's traced
+    # peak is the frames' child entries, ~17 MiB; a mask per child would
+    # add ~18 MiB more. The store is below the two-process size, so the
+    # trace sees the whole search.
+    store = build_hdr(leave_one_out(600))
+    assert store.cell_count < miner._SPLIT_CELLS
+    tracemalloc.start()
+    try:
+        result = mine_mfi(store, MinerConfig(minsup=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result) == 1
+    assert peak < 25 * 2**20, peak
 
 
 # Mining in two processes. Every test below forces the split: the cell gate
