@@ -14,12 +14,20 @@ raw database's cells and ends. The cells' typecode is the narrowest of
 ``'B'``, ``'H'`` and ``'I'`` that holds every id or rank of the database,
 picked from their count, so a cell costs 1 byte up to 256 items, 2 up to
 65,536 and 4 beyond, and no object of its own.
+
+A regular file of at least ``_SPLIT_BYTES`` bytes is read in two halves by
+this process and a forked worker (``in_two``), each half packed as a
+database with its own label list and ids. The worker sends its packed
+cells, never a 4-byte label cell, and the joined halves equal the database
+one process would read.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
+import stat
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -28,6 +36,8 @@ from itertools import accumulate, chain, compress, islice, repeat
 from struct import pack_into
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
+
+from .forking import in_two
 
 _MAX_LABEL = 0xFFFFFFFF
 
@@ -52,6 +62,10 @@ class FimiParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+        self.message = message
+
+    def __reduce__(self):  # a forked reader's error travels pickled
+        return type(self), (self.line_no, self.message)
 
 
 # Row ends are packed as unsigned C ints, so a database holds below 2**32
@@ -219,11 +233,97 @@ def parse_fimi(text: str | bytes) -> RawDatabase:
 
 
 def read_fimi(path) -> RawDatabase:
-    """``parse_fimi`` of the file at ``path``, read ``_BLOCK_BYTES`` at a
-    time, so that neither the file's bytes nor its lines are ever all held
-    at once."""
+    r"""``parse_fimi`` of the file at ``path``, read ``_BLOCK_BYTES`` at a
+    time. A regular file of at least ``_SPLIT_BYTES`` bytes is cut just
+    after the first \n at or after its midpoint and, where a worker can be
+    forked (``in_two``), read in two processes: this one parses the lines
+    before the cut and the worker, from a handle of its own, the lines after
+    it. Per half, neither the bytes nor the lines are ever all held at once.
+    Each half is packed as a database of its own, the worker sends its
+    packed cells, row ends, labels and supports, and the halves are joined
+    into the one-process result."""
     with open(path, "rb") as handle:
-        return _parse_blocks(iter(partial(handle.read, _BLOCK_BYTES), b""))
+        # A worker reopening a file descriptor would share its offset.
+        cut = 0 if isinstance(path, int) else _cut(handle)
+        halves = cut and in_two(partial(_parse_blocks, _blocks(handle, cut)),
+                                partial(_read_rest, path, cut))
+        if not halves:
+            return _parse_blocks(_blocks(handle))
+    return _joined(*halves)
+
+
+# A regular file of at least this many bytes is read in two processes. Over
+# rounds of 10 alternating fresh-process pairs of reads of gen:N:1000:10:1
+# files (CPython 3.11.7, 2-core VM), the split took 1.16-1.24x the
+# one-process read at 10k rows (0.35 MB), 1.08-1.14x at 25k (0.88 MB) and
+# 1.01-1.03x at 50k (1.77 MB) in the rounds where the host ran two busy
+# processes at one core's speed (0.63x and 0.74x in the one where it did
+# not), and 0.54-0.66x at 100k (3.5 MB), lower in 37 of 40 pairs.
+_SPLIT_BYTES = 1 << 21
+
+
+def _cut(handle) -> int:
+    r"""Where to cut the file of ``handle``, at offset 0, between two
+    processes: just after the first \n at or after its midpoint. 0 when it
+    is no regular file of at least ``_SPLIT_BYTES`` bytes or no line starts
+    after that \n. Leaves the handle at offset 0."""
+    info = os.fstat(handle.fileno())
+    if not stat.S_ISREG(info.st_mode) or info.st_size < _SPLIT_BYTES:
+        return 0
+    handle.seek(info.st_size // 2)
+    cut = handle.tell() + len(handle.readline())
+    handle.seek(0)
+    return cut if cut < info.st_size else 0
+
+
+def _blocks(handle, size: float = math.inf) -> Iterator[bytes]:
+    """Up to ``size`` bytes of ``handle`` from its offset, ``_BLOCK_BYTES`` at
+    a time."""
+    while size > 0 and (block := handle.read(min(size, _BLOCK_BYTES))):
+        size -= len(block)
+        yield block
+
+
+def _read_rest(path, cut: int) -> tuple:
+    """The cells, ends, labels and id supports of the database of the file's
+    lines from byte ``cut`` on, read by a forked worker from a handle of its
+    own, since the one it inherits shares its offset with the caller's. A
+    parse error names the line's number in the whole file."""
+    with open(path, "rb") as handle:
+        handle.seek(cut)
+        try:
+            db = _parse_blocks(_blocks(handle))
+        except FimiParseError as exc:
+            handle.seek(0)
+            before = len(handle.read(cut).splitlines())
+            raise FimiParseError(before + exc.line_no, exc.message) from None
+    return db.cells, db.ends, db.labels, db._id_supports
+
+
+def _joined(first: RawDatabase, rest: tuple) -> RawDatabase:
+    """The database of ``first``'s rows followed by the rows ``_read_rest``
+    gave as ``rest``, its cells and ends as bytes. Ids number the union of
+    the two label lists; a half with other labels is mapped to them through
+    a table and packed again at the union's typecode."""
+    cells, ends, labels, counts = rest
+    supports = Counter(dict(zip(labels, counts)))
+    supports.update(dict(zip(first.labels, first._id_supports)))
+    union = sorted(supports)
+
+    def in_union(half_labels: list[int], half_cells: array) -> array:
+        if half_labels == union:
+            return half_cells
+        id_of = dict(zip(union, range(len(union))))
+        table = list(map(id_of.__getitem__, half_labels))
+        return _packed_cells(map(table.__getitem__, half_cells), len(half_cells), len(union))
+
+    joined = in_union(first.labels, first.cells)
+    offset = len(joined)
+    joined += in_union(labels, array(_cell_typecode(len(labels)), cells))
+    first.ends.extend(map(offset.__add__, array(_END_TYPECODE, ends)))
+    db = RawDatabase(joined, first.ends, union, False)
+    vars(db)["_id_supports"] = list(map(supports.__getitem__, union))
+    return db
 
 
 def _parse_blocks(blocks: Iterable[bytes]) -> RawDatabase:

@@ -1,0 +1,91 @@
+"""One job run as two halves in two processes.
+
+``in_two`` forks one worker, which runs one half and sends its result back
+over a pipe with marshal, while the calling process runs the other half.
+The worker's whole life is in this module: no worker outlives the call, an
+exception either half raises is raised in the caller, and where no worker
+can be forked the caller is told so and runs the job in one process.
+"""
+
+from __future__ import annotations
+
+import marshal
+import os
+import signal
+import threading
+from typing import Callable, NoReturn
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def in_two(here: Callable[[], object], there: Callable[[], object]) -> tuple | None:
+    """``(here(), there())``, with ``there`` called in a forked worker while
+    this process calls ``here``. ``there`` returns what marshal can send:
+    ints, bytes, arrays (which arrive as bytes), and lists and tuples of
+    them. None, with neither called, where ``os.fork`` is missing, fewer
+    than two CPUs are usable, another thread runs or the fork fails. If
+    ``here`` raises, the worker is killed and reaped; if ``there`` raises,
+    its exception is raised here once ``here`` returns."""
+    if not (hasattr(os, "fork") and threading.active_count() == 1 and _usable_cpus() >= 2):
+        return None
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # e.g. EAGAIN at the process limit
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        _worker(there, read_end, write_end)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            ours = here()
+            payload = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if not payload:
+        raise RuntimeError(f"worker {pid} sent no result (wait status {status})")
+    ok, theirs = marshal.loads(payload)
+    if not ok:
+        import pickle  # only a failed worker's exception travels pickled
+
+        raise pickle.loads(theirs)
+    return ours, theirs
+
+
+def _worker(there: Callable[[], object], read_end: int, write_end: int) -> NoReturn:
+    """The forked worker's whole life: call ``there``, send its result or
+    its exception over the pipe, and exit without returning into the
+    caller's code or flushing its inherited buffers."""
+    try:
+        os.close(read_end)
+        try:
+            payload = marshal.dumps((True, there()))
+        except BaseException as exc:
+            import pickle
+
+            try:
+                pickled = pickle.dumps(exc)
+            except Exception:
+                pickled = pickle.dumps(RuntimeError(f"worker raised {exc!r}"))
+            payload = marshal.dumps((False, pickled))
+        with open(write_end, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
+
+
+def exit_if_orphaned(parent: int) -> None:
+    """End this worker if ``parent``, the process that forked it, is gone:
+    nobody is left to read its result."""
+    if os.getppid() != parent:
+        os._exit(1)

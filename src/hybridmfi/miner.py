@@ -22,8 +22,9 @@ depth is bounded by memory and not the interpreter's call limit. The mined
 store is checked to be an antichain once, before it is returned.
 
 A store of at least ``_SPLIT_CELLS`` cells whose root has two or more
-children is mined in two processes where ``os.fork`` exists, at least two
-CPUs are usable and no other thread runs. Once the root's children are
+children is mined in two processes (``in_two``, the fork helper
+``read_fimi`` also uses) where ``os.fork`` exists, at least two CPUs are
+usable and no other thread runs. Once the root's children are
 counted and sorted, a forked worker mines the odd-indexed ones and this
 process the even-indexed ones, each with the same loop and its own store.
 Root subtrees depend on each other only through subsumption, so adding
@@ -33,13 +34,12 @@ own superset check, gives the one-process result in its insertion order.
 
 from __future__ import annotations
 
-import marshal
 import os
-import signal
-import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Sequence
 
+from .forking import exit_if_orphaned, in_two
 from .hdr import (
     CostCounters,
     CountMode,
@@ -277,8 +277,8 @@ def mine_mfi(
                     # it proves nothing, so never the root frame for FHUT.
                     proved = False
                     continue
-                if parent is not None and os.getppid() != parent:
-                    os._exit(1)  # nobody is left to read the result
+                if parent is not None:
+                    exit_if_orphaned(parent)
             nodes += 1
             child_head = head | (1 << x)
             child_view = view.project(x)
@@ -290,7 +290,7 @@ def mine_mfi(
             proved = enter(child_head, x_support, tail, child_pdr, child_view)
         return nodes
 
-    if proved is None and _splits(store, len(stack[0][1])):
+    if proved is None and store.cell_count >= _SPLIT_CELLS and len(stack[0][1]) >= 2:
         mfi, below = _mine_in_two(search, mfi, stack[0][1], counters)
     else:
         below = search()
@@ -308,89 +308,29 @@ def mine_mfi(
 _SPLIT_CELLS = 1 << 19
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _splits(store: HdrStore, children: int) -> bool:
-    """Whether to mine the subtrees of the root's ``children`` in two
-    processes."""
-    return (store.cell_count >= _SPLIT_CELLS and children >= 2
-            and hasattr(os, "fork") and threading.active_count() == 1
-            and _usable_cpus() >= 2)
-
-
 def _mine_in_two(search, mfi: MfiStore, root_children: list,
                  counters: CostCounters | None) -> tuple[MfiStore, int]:
-    """Fork a worker that runs ``search`` on the odd-indexed root children
-    while this process runs it on the even-indexed ones, then merge. The
-    worker sends its sets, supports, nodes and ``cells_touched`` over a pipe
-    with marshal and exits. Returns the merged store and the nodes both
-    halves generated. No worker outlives the call: if this half raises, the
-    worker is killed and reaped; if the worker raises, its exception is
-    raised here. If no process can be forked, this one mines every root
-    child."""
+    """Run ``search`` on the odd-indexed root children in a forked worker
+    (``in_two``) while this process runs it on the even-indexed ones, then
+    merge. The worker sends its sets, supports, nodes and ``cells_touched``.
+    Returns the merged store and the nodes both halves generated. If no
+    worker can be forked, this process mines every root child."""
     parent = os.getpid()
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # e.g. EAGAIN at the process limit
-        os.close(read_end)
-        os.close(write_end)
-        return mfi, search()
-    if pid == 0:
-        _worker(search, mfi, counters, parent, read_end, write_end)
-    os.close(write_end)
-    try:
-        with open(read_end, "rb") as pipe:
-            nodes = search(0)
-            payload = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if not payload:
-        raise RuntimeError(f"mining worker {pid} sent no result (wait status {status})")
-    result = marshal.loads(payload)
-    if result[0] == "error":
-        import pickle  # only a failed worker's exception travels pickled
 
-        raise pickle.loads(result[1])
-    _, worker_nodes, worker_cells, masks, supports = result
+    def odd_children() -> tuple:
+        cells = counters.cells_touched if counters is not None else 0
+        nodes = search(1, parent)
+        if counters is not None:
+            cells = counters.cells_touched - cells
+        return nodes, cells, mfi._masks, mfi._supports
+
+    halves = in_two(partial(search, 0), odd_children)
+    if halves is None:
+        return mfi, search()
+    nodes, (worker_nodes, worker_cells, masks, supports) = halves
     if counters is not None:
         counters.cells_touched += worker_cells
     return _merge(root_children, mfi, masks, supports), nodes + worker_nodes
-
-
-def _worker(search, mfi: MfiStore, counters: CostCounters | None, parent: int,
-            read_end: int, write_end: int) -> None:
-    """The forked worker's whole life: mine the odd-indexed root children,
-    send the result or the exception over the pipe, and exit without
-    returning into the caller's code or flushing its inherited buffers."""
-    try:
-        os.close(read_end)
-        try:
-            cells = counters.cells_touched if counters is not None else 0
-            nodes = search(1, parent)
-            if counters is not None:
-                cells = counters.cells_touched - cells
-            payload = marshal.dumps(("ok", nodes, cells, mfi._masks, mfi._supports))
-        except BaseException as exc:
-            import pickle
-
-            try:
-                pickled = pickle.dumps(exc)
-            except Exception:
-                pickled = pickle.dumps(RuntimeError(f"mining worker raised {exc!r}"))
-            payload = marshal.dumps(("error", pickled))
-        with open(write_end, "wb") as pipe:
-            pipe.write(payload)
-    finally:
-        os._exit(0)
 
 
 def _merge(root_children: list, own: MfiStore, masks: list[int],

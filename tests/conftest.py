@@ -1,6 +1,10 @@
+import contextlib
+import os
+
 import pytest
 
 from hybridmfi import build_hdr, gen_sparse, parse_fimi, project_vertical, prune_and_remap
+from hybridmfi import dataset, forking, miner
 from hybridmfi.hdr import TidMask, _mask_of
 
 # Five transactions over labels 1..5; the worked example used throughout.
@@ -99,3 +103,31 @@ def tiny_file(tmp_path):
     path = tmp_path / "tiny.txt"
     path.write_text(TINY_DB)
     return str(path)
+
+
+@contextlib.contextmanager
+def forced_split():
+    """Force every mine whose root has two children or more, and every read
+    of a regular file with a line after its midpoint, into two processes:
+    both size gates at 0 and two usable CPUs reported, whatever the host
+    has. Yields the list of worker pids forked so far."""
+    forked = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(miner, "_SPLIT_CELLS", 0)
+        patch.setattr(dataset, "_SPLIT_BYTES", 0)
+        patch.setattr(forking, "_usable_cpus", lambda: 2)
+        patch.setattr(os, "fork", counting_fork)
+        yield forked
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -1,5 +1,7 @@
 import gc
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from array import array
@@ -27,7 +29,7 @@ from hybridmfi import (
     to_fimi,
 )
 
-from conftest import TINY_DB
+from conftest import TINY_DB, assert_no_child_left, forced_split
 
 
 def test_parse_five_transactions(tiny_raw):
@@ -570,3 +572,176 @@ def test_pruned_cells_have_no_slack(minsup):
     assert len(db.cells) == sum(raw.supports[label] for label in labels)
     assert sys.getsizeof(db.cells) == sys.getsizeof(array(db.cells.typecode)) + \
         db.cells.itemsize * len(db.cells)
+
+
+# Reading in two processes. Every test below forces the split (conftest's
+# forced_split): the size gate at 0 and two usable CPUs reported, whatever
+# the host has.
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+
+
+def cut_of(data: bytes) -> int:
+    r"""Where a read in two processes cuts ``data``: just after the first
+    \n at or after its midpoint."""
+    return data.index(b"\n", len(data) // 2) + 1
+
+
+def read_both_ways(tmp_path, data: bytes):
+    """A one-process read of ``data`` from a file, a read of it forced into
+    two processes, and the number of workers forked."""
+    path = tmp_path / "halves.dat"
+    path.write_bytes(data)
+    one = read_fimi(path)
+    with forced_split() as forked:
+        two = read_fimi(path)
+    assert_no_child_left()
+    return one, two, len(forked)
+
+
+def assert_same_database(one: RawDatabase, two: RawDatabase):
+    assert two.cells.typecode == one.cells.typecode
+    assert (two.cells, two.ends, two.labels, two.empty_rows, two._id_supports) == \
+        (one.cells, one.ends, one.labels, one.empty_rows, one._id_supports)
+
+
+SPLIT_INPUTS = {  # the lines before the cut, and the lines after it
+    "blank_lines_at_the_cut": (b"1 2\n3 4\n\n\n", b"\n\n5\n6 7\n"),
+    "crlf": (b"1 2\r\n3\r\n\r\n4 5\r\n", b"6\r\n1 6\r\n"),
+    "lone_cr_lines": (b"1 2\r3\r4\n5 6\r7\n", b"8\r9 1\n"),
+    "no_final_newline": (b"1 2\n3 4\n", b"5 6\n7 8"),
+    "duplicates_in_a_line": (b"1 1 2\n2 2 3\n3 1 3\n", b"1 2 1\n"),
+    "label_in_one_half": (b"1 2\n3\n1 3\n2 1\n", b"9\n1 2\n"),
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("first, second", SPLIT_INPUTS.values(), ids=SPLIT_INPUTS)
+def test_read_in_two_equals_one_process(tmp_path, first, second):
+    data = first + second
+    assert cut_of(data) == len(first)
+    one, two, forked = read_both_ways(tmp_path, data)
+    assert forked == 1
+    assert_same_database(one, two)
+    assert one == parse_fimi(data)
+
+
+@needs_fork
+def test_read_in_two_with_the_same_labels_in_both_halves(tmp_path):
+    # Both halves hold every label, so their cells and ends are joined as
+    # they are.
+    data = to_fimi(gen_sparse(400, 20, 8, 1)).encode()
+    cut = cut_of(data)
+    assert parse_fimi(data[:cut]).labels == parse_fimi(data[cut:]).labels
+    one, two, forked = read_both_ways(tmp_path, data)
+    assert forked == 1
+    assert_same_database(one, two)
+
+
+@needs_fork
+def test_read_in_two_widens_the_cells_when_the_union_passes_256_labels(tmp_path):
+    # 200 labels before the cut and 199 after it, 300 in all: each half
+    # packs its ids in 1 byte, the database in 2.
+    data = "".join(f"{label}\n" for label in [*range(1000, 1200), *range(1100, 1300)]).encode()
+    cut = cut_of(data)
+    halves = parse_fimi(data[:cut]), parse_fimi(data[cut:])
+    assert [(len(h.labels), h.cells.typecode) for h in halves] == [(200, "B"), (199, "B")]
+    one, two, forked = read_both_ways(tmp_path, data)
+    assert forked == 1 and len(one.labels) == 300 and one.cells.typecode == "H"
+    assert_same_database(one, two)
+
+
+@needs_fork
+@pytest.mark.parametrize("data", [b"1 2\n3 4 5 6 7 8 9 10", b"1\n2 3 4 5 6 7\n", b"", b"\n"],
+                         ids=["no_line_break", "line_break_only_at_the_end", "empty", "one_byte"])
+def test_read_without_a_line_after_the_midpoint_stays_in_one_process(tmp_path, data):
+    one, two, forked = read_both_ways(tmp_path, data)
+    assert forked == 0
+    assert_same_database(one, two)
+
+
+def read_error(path) -> FimiParseError:
+    with pytest.raises(FimiParseError) as exc:
+        read_fimi(path)
+    return exc.value
+
+
+BAD_LINES = [b"3 x", b"3 " + b"9" * 5000, str(2**32).encode()]
+
+
+@needs_fork
+@pytest.mark.parametrize("bad", BAD_LINES, ids=["bad_token", "overlong_label", "label_above_32_bits"])
+@pytest.mark.parametrize("half", ["first", "second", "both"])
+def test_read_in_two_reports_the_first_bad_line_of_either_half(tmp_path, bad, half):
+    # 80 lines (lone \r, \r\n and blank ones among them) and line 81 before
+    # the cut, line 82 and 80 more after it; the halves' bad or good lines
+    # have one length, so the cut falls between them.
+    good = b"1 2\r3\r\n\n 4\n" * 20
+    line = {True: bad, False: b"5".ljust(len(bad))}
+    first = good + line[half != "second"] + b" \n"
+    second = line[half != "first"] + b"\n" + good
+    data = first + second
+    assert cut_of(data) == len(first)
+    path = tmp_path / "bad.dat"
+    path.write_bytes(data)
+    one = read_error(path)
+    with forced_split() as forked:
+        two = read_error(path)
+    assert_no_child_left()
+    assert len(forked) == 1
+    assert (two.line_no, str(two)) == (one.line_no, str(one))
+    assert one.line_no == (82 if half == "second" else 81)
+
+
+@needs_fork
+def test_read_falls_back_to_one_process_when_fork_fails(tmp_path):
+    data = to_fimi(gen_sparse(300, 40, 6, 2)).encode()
+    path = tmp_path / "fallback.dat"
+    path.write_bytes(data)
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    with forced_split(), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "fork", no_fork)
+        raw = read_fimi(path)
+    assert_no_child_left()
+    assert_same_database(parse_fimi(data), raw)
+
+
+@needs_fork
+def test_read_of_a_file_descriptor_stays_in_one_process(tmp_path):
+    # A worker reopening the descriptor would share its offset.
+    data = to_fimi(gen_sparse(300, 40, 6, 2)).encode()
+    path = tmp_path / "descriptor.dat"
+    path.write_bytes(data)
+    with forced_split() as forked:
+        raw = read_fimi(os.open(path, os.O_RDONLY))
+    assert forked == []
+    assert_same_database(parse_fimi(data), raw)
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo on this platform")
+def test_read_streams_a_fifo_in_one_process(tmp_path):
+    # A FIFO cannot be cut or read twice: it is read as it is written, in
+    # one process, even with the size gate at 0. The text is larger than a
+    # pipe's buffer, so the writer blocks until the read drains it.
+    data = to_fimi(gen_sparse(20000, 100, 10, 3)).encode()
+    assert len(data) > 1 << 17
+    source, fifo = tmp_path / "source.dat", tmp_path / "fifo"
+    source.write_bytes(data)
+    os.mkfifo(fifo)
+    writer = subprocess.Popen([sys.executable, "-c",
+                               "import shutil, sys\n"
+                               "with open(sys.argv[1], 'rb') as src, open(sys.argv[2], 'wb') as dst:\n"
+                               "    shutil.copyfileobj(src, dst)\n",
+                               str(source), str(fifo)])
+    try:
+        with forced_split() as forked:
+            raw = read_fimi(fifo)
+    finally:
+        writer.kill()
+        writer.wait(timeout=30)
+    assert forked == []
+    assert_same_database(read_fimi(source), raw)

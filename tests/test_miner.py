@@ -36,7 +36,7 @@ from hybridmfi import (
 )
 from hybridmfi.cli import render_mfi
 
-from conftest import label_mfi, sweep_databases
+from conftest import assert_no_child_left, forced_split, label_mfi, sweep_databases
 from test_differential import databases
 
 
@@ -547,30 +547,11 @@ def test_leave_one_out_path_holds_one_mask_per_frame():
     assert peak < 25 * 2**20, peak
 
 
-# Mining in two processes. Every test below forces the split: the cell gate
-# at 0 and two usable CPUs reported, whatever the host has.
+# Mining in two processes. Every test below forces the split (conftest's
+# forced_split): the cell gate at 0 and two usable CPUs reported, whatever
+# the host has.
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
-
-
-@contextlib.contextmanager
-def forced_split():
-    """Force every mine whose root has two children or more into two
-    processes; yields the list of worker pids forked so far."""
-    forked = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(miner, "_SPLIT_CELLS", 0)
-        patch.setattr(miner, "_usable_cpus", lambda: 2)
-        patch.setattr(os, "fork", counting_fork)
-        yield forked
 
 
 def mine_both_ways(db, config):
@@ -584,11 +565,6 @@ def mine_both_ways(db, config):
         runs.append((render_mfi(result, list(range(db.item_count))), list(result),
                      stats.nodes_explored, counters.cells_touched))
     return runs[0], runs[1], len(forked)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @needs_fork
@@ -721,10 +697,10 @@ def test_worker_failure_keeps_the_cli_exit_codes(monkeypatch, capsys, exc, code)
 
 ORPHAN_SCRIPT = r"""
 import os, sys, time
-from hybridmfi import MinerConfig, build_hdr, gen_sparse, miner, mine_mfi, prune_and_remap
+from hybridmfi import MinerConfig, build_hdr, forking, gen_sparse, miner, mine_mfi, prune_and_remap
 
 miner._SPLIT_CELLS = 0
-miner._usable_cpus = lambda: 2
+forking._usable_cpus = lambda: 2
 parent = os.getpid()
 count = miner.count_supports
 db, _ = prune_and_remap(gen_sparse(300, 30, 6, 4), 3)

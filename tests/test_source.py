@@ -1,7 +1,8 @@
 """Checks on the source itself. Invariants in the package must not depend
 on the interpreter's -O flag: an ``assert`` statement or a ``__debug__``
 branch vanishes under it. No module reads the environment. One function
-forks, and no process pool module is imported. README must show only the
+forks, every call that makes or ends a worker sits in one module, and no
+process pool module is imported. README must show only the
 CLI that exists, and its library example runs. Every exported name has a
 reader outside the tests."""
 
@@ -81,6 +82,23 @@ def test_one_function_forks_and_no_pool_is_imported():
                       or module.startswith("concurrent")]
     assert len(set(forks)) == 1, f"os.fork called in {sorted(set(forks))}"
     assert not pools, "process pool imports: " + ", ".join(pools)
+
+
+def test_worker_lifetime_sits_in_the_fork_helper():
+    # The fork, the pipe, the wait, the kill and the worker's exit are made
+    # in one module, so each worker's lifetime is read in one place.
+    names = {"fork", "pipe", "waitpid", "kill", "_exit"}
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "os" and node.attr in names:
+                found.setdefault(node.attr, set()).add(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                for alias in node.names:
+                    if alias.name in names:
+                        found.setdefault(alias.name, set()).add(path.name)
+    assert found == dict.fromkeys(names, {"forking.py"}), found
 
 
 def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
