@@ -105,6 +105,9 @@ def tiny_file(tmp_path):
     return str(path)
 
 
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+
+
 @contextlib.contextmanager
 def forced_split():
     """Force every mine whose root has two children or more, and every read

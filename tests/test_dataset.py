@@ -29,7 +29,7 @@ from hybridmfi import (
     to_fimi,
 )
 
-from conftest import TINY_DB, assert_no_child_left, forced_split
+from conftest import TINY_DB, assert_no_child_left, forced_split, needs_fork
 
 
 def test_parse_five_transactions(tiny_raw):
@@ -577,8 +577,6 @@ def test_pruned_cells_have_no_slack(minsup):
 # Reading in two processes. Every test below forces the split (conftest's
 # forced_split): the size gate at 0 and two usable CPUs reported, whatever
 # the host has.
-
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
 
 
 def cut_of(data: bytes) -> int:

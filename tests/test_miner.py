@@ -36,7 +36,9 @@ from hybridmfi import (
 )
 from hybridmfi.cli import render_mfi
 
-from conftest import assert_no_child_left, forced_split, label_mfi, sweep_databases
+from conftest import (
+    assert_no_child_left, forced_split, label_mfi, needs_fork, sweep_databases,
+)
 from test_differential import databases
 
 
@@ -550,8 +552,6 @@ def test_leave_one_out_path_holds_one_mask_per_frame():
 # Mining in two processes. Every test below forces the split (conftest's
 # forced_split): the cell gate at 0 and two usable CPUs reported, whatever
 # the host has.
-
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
 
 
 def mine_both_ways(db, config):
