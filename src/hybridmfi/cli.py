@@ -21,8 +21,6 @@ import sys
 import time
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
-from itertools import chain
-from operator import sub
 
 from .dataset import (
     FimiParseError,
@@ -258,8 +256,7 @@ def cmd_bench(args) -> int:
 def cmd_stats(args) -> int:
     raw = _load_dataset(args.input)
     # Row lengths from the row ends: no label tuple is made per row.
-    n, ends = len(raw), raw.ends
-    lengths = list(map(sub, ends, chain((0,), ends)))
+    n, lengths = len(raw), raw.row_lengths()
     print(f"Items={len(raw.labels)}")
     print(f"Records={n}")
     print(f"Average Length={sum(lengths) / n if n else 0:g}")

@@ -31,11 +31,11 @@ import stat
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import accumulate, chain, compress, islice, repeat
+from operator import sub
 from struct import pack_into
-from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 from .forking import in_two
 
@@ -119,6 +119,11 @@ class _FlatRows:
         """Number of rows, the empty ones included."""
         return len(self.ends)
 
+    def row_lengths(self) -> list[int]:
+        """Each row's cell count, in row order, from the row ends."""
+        ends = self.ends
+        return list(map(sub, ends, chain((0,), ends)))
+
     def _slices(self) -> Iterator[list[int]]:
         cells, start = self.cells, 0
         for end in self.ends:
@@ -130,12 +135,13 @@ class _FlatRows:
 class RawDatabase(_FlatRows):
     """Transactions as ingested. Each cell is an item id and ``labels[id]``
     its label; ``labels`` ascends, so ids sort as their labels do, and every
-    label occurs in some row. ``empty_rows`` tells whether any row is empty,
-    recorded as the rows are built. Empty transactions are permitted here;
-    they disappear at the pruning stage. The supports are counted once and
-    kept."""
+    label occurs in some row. ``supports[id]`` is the number of rows holding
+    the item, counted once, as the rows are packed. ``empty_rows`` tells
+    whether any row is empty, recorded as the rows are built. Empty
+    transactions are permitted here; they disappear at the pruning stage."""
 
     labels: list[int]
+    supports: tuple[int, ...]
     empty_rows: bool
 
     @classmethod
@@ -159,41 +165,21 @@ class RawDatabase(_FlatRows):
         for row in self._slices():
             yield tuple(map(label, row))
 
-    @cached_property
-    def _id_supports(self) -> list[int]:
-        """Number of transactions containing each item, by id, counted on
-        first use in one pass over the cells (``_interned`` fills it as it
-        packs them)."""
-        return _by_id(Counter(self.cells), len(self.labels))
-
-    @property
-    def supports(self) -> Mapping[int, int]:
-        """Number of transactions containing each label, as a read-only
-        view of the counts by id."""
-        return MappingProxyType(dict(zip(self.labels, self._id_supports)))
-
 
 def _interned(labelled: array, ends: array, distinct: Iterable[int],
               empty_rows: bool) -> RawDatabase:
     """The database of rows of ``labelled`` cells, each cell the id of its
     label among the ``distinct`` labels. Ids keep label order, so each row
     stays ascending. The ids are packed a step at a time, so besides the
-    4-byte labels only one step's ids are ever held as a list."""
+    4-byte labels only one step's ids are ever held as a list. The supports
+    are each step's ids counted as they are packed, which costs less than a
+    later count over the packed cells, each of whose reads makes an int."""
     labels = sorted(distinct)
     to_id = dict(zip(labels, range(len(labels)))).__getitem__
     counts: Counter[int] = Counter()
     cells = _packed_cells(map(to_id, labelled), len(labelled), len(labels), counts.update)
-    db = RawDatabase(cells, ends, labels, empty_rows)
-    # Fill the cached supports by id: a count of each step's ids as they
-    # are packed costs less than a later count over the packed cells, each
-    # of whose reads makes an int.
-    vars(db)["_id_supports"] = _by_id(counts, len(labels))
-    return db
-
-
-def _by_id(counts: Counter[int], count: int) -> list[int]:
-    """The counts of ids 0 to ``count - 1``, in id order."""
-    return list(map(counts.__getitem__, range(count)))
+    supports = tuple(map(counts.__getitem__, range(len(labels))))
+    return RawDatabase(cells, ends, labels, supports, empty_rows)
 
 
 @dataclass(frozen=True)
@@ -285,7 +271,7 @@ def _blocks(handle, size: float = math.inf) -> Iterator[bytes]:
 
 
 def _read_rest(path, cut: int) -> tuple:
-    """The cells, ends, labels and id supports of the database of the file's
+    """The cells, ends, labels and supports of the database of the file's
     lines from byte ``cut`` on, read by a forked worker from a handle of its
     own, since the one it inherits shares its offset with the caller's. A
     parse error names the line's number in the whole file."""
@@ -297,17 +283,18 @@ def _read_rest(path, cut: int) -> tuple:
             handle.seek(0)
             before = len(handle.read(cut).splitlines())
             raise FimiParseError(before + exc.line_no, exc.message) from None
-    return db.cells, db.ends, db.labels, db._id_supports
+    return db.cells, db.ends, db.labels, db.supports
 
 
 def _joined(first: RawDatabase, rest: tuple) -> RawDatabase:
     """The database of ``first``'s rows followed by the rows ``_read_rest``
     gave as ``rest``, its cells and ends as bytes. Ids number the union of
     the two label lists; a half with other labels is mapped to them through
-    a table and packed again at the union's typecode."""
+    a table and packed again at the union's typecode. A label's support is
+    the sum of the two halves' supports."""
     cells, ends, labels, counts = rest
     supports = Counter(dict(zip(labels, counts)))
-    supports.update(dict(zip(first.labels, first._id_supports)))
+    supports.update(dict(zip(first.labels, first.supports)))
     union = sorted(supports)
 
     def in_union(half_labels: list[int], half_cells: array) -> array:
@@ -321,9 +308,7 @@ def _joined(first: RawDatabase, rest: tuple) -> RawDatabase:
     offset = len(joined)
     joined += in_union(labels, array(_cell_typecode(len(labels)), cells))
     first.ends.extend(map(offset.__add__, array(_END_TYPECODE, ends)))
-    db = RawDatabase(joined, first.ends, union, False)
-    vars(db)["_id_supports"] = list(map(supports.__getitem__, union))
-    return db
+    return RawDatabase(joined, first.ends, union, tuple(map(supports.__getitem__, union)), False)
 
 
 def _parse_blocks(blocks: Iterable[bytes]) -> RawDatabase:
@@ -387,12 +372,12 @@ def prune_and_remap(db: RawDatabase, minsup: int) -> tuple[TransactionDatabase, 
     """Drop labels with support below ``minsup``, remap survivors to dense
     ranks in ascending label order, and drop transactions that end up empty.
     Returns the database and the surviving labels, rank r's label at index
-    r. The supports are the database's own, counted once for every prune.
+    r. The supports are the database's own, counted when it was built.
     When every item survives and no row is empty, the ranks are the ids and
     the pruned database shares the raw database's ``cells`` and ``ends``."""
     if minsup < 1:
         raise ValueError(f"minsup must be a positive integer, got {minsup}")
-    supports = db._id_supports
+    supports = db.supports
     if not db.empty_rows and min(supports, default=minsup) >= minsup:
         return TransactionDatabase(db.cells, db.ends, len(supports), minsup), list(db.labels)
     # Flags and ranks are lists indexed by id. Every loop below runs in C:

@@ -32,9 +32,7 @@ import re
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain
-from operator import sub
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .dataset import TransactionDatabase
 
@@ -80,7 +78,7 @@ class TidMask:
     """A node's transactions as one bitmask over transaction indices: bit t
     is set iff the node holds transaction t. ``len`` is the popcount; the
     miner never takes it, since a mask node is counted by bitmap whatever
-    its size. Iterating yields the indices in ascending order."""
+    its size."""
 
     __slots__ = ("bits",)
 
@@ -89,9 +87,6 @@ class TidMask:
 
     def __len__(self) -> int:
         return self.bits.bit_count()
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(_indices(self.bits))
 
 
 @dataclass(slots=True, frozen=True)
@@ -180,8 +175,7 @@ def build_hdr(db: TransactionDatabase) -> HdrStore:
         for x in cells[start:end]:
             fills[x](packed)
         start = end
-    row_cells = list(map(sub, ends, chain((0,), ends)))
-    return HdrStore(db, row_cells, item_txns, [None] * db.item_count)
+    return HdrStore(db, db.row_lengths(), item_txns, [None] * db.item_count)
 
 
 # F of select_mode's density rule.

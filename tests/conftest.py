@@ -5,7 +5,7 @@ import pytest
 
 from hybridmfi import build_hdr, gen_sparse, parse_fimi, project_vertical, prune_and_remap
 from hybridmfi import dataset, forking, miner
-from hybridmfi.hdr import TidMask, _mask_of
+from hybridmfi.hdr import TidMask, _indices, _mask_of
 
 # Five transactions over labels 1..5; the worked example used throughout.
 TINY_DB = "1 2 4\n3\n1 3 5\n2 3\n1 3\n"
@@ -29,6 +29,11 @@ def label_mfi(store, labels):
     return {frozenset(labels[r] for r in ranks): support for ranks, support in store}
 
 
+def txn_list(txns) -> list[int]:
+    """A Pdr's transactions, a sequence or a TidMask, as a list."""
+    return _indices(txns.bits) if isinstance(txns, TidMask) else list(txns)
+
+
 def verify_counts(store, pdr, tail, children=()) -> bool:
     """Debug oracle: recompute tail supports three independent ways (a
     rescan of the rows the horizontal kernel reads, per-item transaction
@@ -44,7 +49,7 @@ def verify_counts(store, pdr, tail, children=()) -> bool:
     def row(t):
         return cells[ends[t - 1] if t else 0:ends[t]]
 
-    txns = list(pdr.txns)
+    txns = txn_list(pdr.txns)
     in_pdr = set(txns)
     if len(in_pdr) != len(pdr.txns):
         return False

@@ -7,6 +7,7 @@ import tracemalloc
 from array import array
 from collections import Counter
 from copy import copy
+from dataclasses import fields
 from itertools import chain
 
 import pytest
@@ -132,15 +133,17 @@ def test_parse_rejects_overflowing_item():
 
 
 def test_global_supports_tiny_db(tiny_raw):
-    assert tiny_raw.supports == {1: 3, 2: 2, 3: 4, 4: 1, 5: 1}
+    assert (tiny_raw.labels, tiny_raw.supports) == ([1, 2, 3, 4, 5], (3, 2, 4, 1, 1))
 
 
 def test_global_supports_empty():
-    assert parse_fimi("").supports == {}
+    raw = parse_fimi("")
+    assert (raw.labels, raw.supports) == ([], ())
 
 
 def test_global_supports_repeated_singleton():
-    assert parse_fimi("1\n1\n1\n").supports == {1: 3}
+    raw = parse_fimi("1\n1\n1\n")
+    assert (raw.labels, raw.supports) == ([1], (3,))
 
 
 def test_prune_minsup2(tiny_raw):
@@ -199,12 +202,12 @@ def test_prune_supports_meet_threshold():
 
 
 def test_prune_counts_supports_once():
-    # Pruning one raw database at three thresholds counts its supports in
-    # one pass over the cells, on the first prune only. A prune that keeps
-    # every item shares the raw rows and reads neither list again; one that
-    # drops an item reads the cells twice (flags, then kept ranks) and the
-    # ends twice (where each row starts and ends). The databases equal
-    # fresh prunes, and the cached counts are read-only.
+    # Pruning one raw database at three thresholds never counts its
+    # supports: they are the database's own, given when it was built. A
+    # prune that keeps every item shares the raw rows and reads neither
+    # list; one that drops an item reads the cells twice (flags, then kept
+    # ranks) and the ends twice (where each row starts and ends). The
+    # databases equal fresh prunes, and the supports are read-only.
     class Passes:
         passes = 0
 
@@ -220,17 +223,18 @@ def test_prune_counts_supports_once():
 
     raw = gen_sparse(300, 30, 6, 4)
     cells, ends = Cells(raw.cells), Ends(raw.ends.typecode, raw.ends)
-    shared = RawDatabase(cells, ends, raw.labels, raw.empty_rows)
+    shared = RawDatabase(cells, ends, raw.labels, raw.supports, raw.empty_rows)
     thresholds = (1, 30, 60)
-    assert min(raw.supports.values()) < 30  # the last two prunes drop items
+    assert min(raw.supports) < 30  # the last two prunes drop items
     pruned = [prune_and_remap(shared, minsup) for minsup in thresholds]
-    assert (cells.passes, ends.passes) == (1 + 2 * 2, 2 * 2)
+    assert (cells.passes, ends.passes) == (2 * 2, 2 * 2)
     assert pruned[0][0].cells is cells
     assert pruned == [prune_and_remap(RawDatabase(list(raw.cells), copy(raw.ends), raw.labels,
-                                                  raw.empty_rows), minsup)
+                                                  raw.supports, raw.empty_rows), minsup)
                       for minsup in thresholds]
-    assert shared.supports == raw.supports
-    assert (cells.passes, ends.passes) == (1 + 2 * 2, 2 * 2)
+    counts = Counter(raw.cells)
+    assert shared.supports == tuple(map(counts.__getitem__, range(len(raw.labels))))
+    assert (cells.passes, ends.passes) == (2 * 2, 2 * 2)
     with pytest.raises(TypeError):
         shared.supports[1] = 0
 
@@ -259,7 +263,7 @@ def test_gen_sparse_lengths_in_bounds():
 
 def test_gen_sparse_skewed_popularity():
     raw = gen_sparse(2000, 40, 5, 11)
-    support = raw.supports
+    support = dict(zip(raw.labels, raw.supports))
     assert support[1] > support[40] * 3
 
 
@@ -300,7 +304,7 @@ def test_fimi_roundtrip_on_parsed_databases():
 def test_support_sum_equals_length_sum():
     for seed in range(10):
         raw = gen_sparse(40, 12, 3, seed)
-        assert sum(raw.supports.values()) == sum(len(t) for t in raw.rows())
+        assert sum(raw.supports) == sum(len(t) for t in raw.rows())
 
 
 def naive_rows(text):
@@ -345,8 +349,9 @@ def test_flat_layout_matches_naive_rows(text, minsup):
     assert raw.labels == sorted({x for row in rows for x in row})
     assert [raw.labels[x] for x in raw.cells] == [x for row in rows for x in row]
     assert raw == RawDatabase.from_rows(rows)
-    assert raw.supports == Counter(x for row in rows for x in row)
-    drop_all = max(raw.supports.values(), default=0) + 1
+    counts = Counter(x for row in rows for x in row)
+    assert raw.supports == tuple(map(counts.__getitem__, raw.labels))
+    drop_all = max(raw.supports, default=0) + 1
     for threshold in (1, 2, minsup, drop_all):
         db, labels = prune_and_remap(raw, threshold)
         expected, keep = naive_prune(rows, threshold)
@@ -431,7 +436,8 @@ def test_read_and_parse_build_equal_databases(tmp_path, monkeypatch):
     text = to_fimi(gen_sparse(500, 900, 6, 4))
     raw = read_in_blocks(tmp_path, monkeypatch, text.encode(), 1000)
     assert raw == parse_fimi(text.encode()) == parse_fimi(text)
-    assert raw.labels == sorted(raw.supports) and to_fimi(raw) == text
+    assert raw.labels == sorted(raw.labels) and len(raw.supports) == len(raw.labels)
+    assert to_fimi(raw) == text
 
 
 def test_read_peak_is_the_database_and_two_blocks(tmp_path, monkeypatch):
@@ -466,14 +472,14 @@ def test_read_peak_is_the_database_and_two_blocks(tmp_path, monkeypatch):
 
 def test_prune_shares_the_raw_rows_when_nothing_drops():
     raw = gen_sparse(300, 30, 6, 4)
-    db, labels = prune_and_remap(raw, min(raw.supports.values()))
+    db, labels = prune_and_remap(raw, min(raw.supports))
     assert db.cells is raw.cells and db.ends is raw.ends
     assert labels == raw.labels and db.item_count == len(labels)
 
 
 def test_prune_builds_new_rows_when_an_item_or_a_row_drops():
     raw = gen_sparse(300, 30, 6, 4)
-    db, labels = prune_and_remap(raw, min(raw.supports.values()) + 1)
+    db, labels = prune_and_remap(raw, min(raw.supports) + 1)
     assert db.cells is not raw.cells and db.ends is not raw.ends
     assert len(labels) < len(raw.labels)
     with_empty = RawDatabase.from_rows([(5, 7), (), (7, 5)])
@@ -486,24 +492,27 @@ def test_prune_builds_new_rows_when_an_item_or_a_row_drops():
 @pytest.mark.parametrize("mode", list(CountMode), ids=lambda m: m.value)
 def test_mining_the_shared_rows_leaves_the_raw_database_unchanged(mode):
     raw = gen_sparse(400, 25, 6, 8)
-    rows, supports, fimi = list(raw.rows()), dict(raw.supports), to_fimi(raw)
+    rows, supports, fimi = list(raw.rows()), dict(zip(raw.labels, raw.supports)), to_fimi(raw)
     minsup = min(supports.values())
     db, _ = prune_and_remap(raw, minsup)
     assert db.cells is raw.cells
     mined = mine_mfi(build_hdr(db), MinerConfig(minsup=minsup, mode=mode))
     assert dict(mined) == dict(mine_bitmap_baseline(db, minsup))
-    assert list(raw.rows()) == rows and raw.supports == supports and to_fimi(raw) == fimi
+    assert list(raw.rows()) == rows and to_fimi(raw) == fimi
+    assert dict(zip(raw.labels, raw.supports)) == supports
 
 
 def test_databases_hold_no_tuple_per_row():
-    # Each database is its flat lists and scalars: no attribute, cached
-    # ones included, holds a tuple or any per-row object.
+    # Each database is its fields, flat sequences of ints and scalars: no
+    # attribute is added after construction, and none holds a per-row
+    # object.
     raw = RawDatabase.from_rows([(3, 1), (2,), (), (1, 2, 3)])
-    assert dict(raw.supports) == {1: 2, 2: 2, 3: 2}
+    assert (raw.labels, raw.supports) == ([1, 2, 3], (2, 2, 2))
     for db in (raw, prune_and_remap(raw, 1)[0], prune_and_remap(raw, 2)[0]):
+        assert list(vars(db)) == [field.name for field in fields(db)]
         for name, value in vars(db).items():
-            assert type(value) in (list, array, dict, int, bool), name
-            if type(value) is list:
+            assert type(value) in (list, tuple, array, int, bool), name
+            if type(value) in (list, tuple):
                 assert all(type(x) is int for x in value), name
         assert type(db.cells) is array and db.cells.typecode == "B" and db.ends.typecode == "I"
 
@@ -531,7 +540,7 @@ def test_a_prune_to_256_ranks_narrows_the_cells():
     # remain.
     raw = RawDatabase.from_rows(list(distinct_labels(257).rows())[:-1])
     assert len(raw.labels) == 257 and raw.cells.itemsize == 2
-    assert raw.supports[257] == 1
+    assert dict(zip(raw.labels, raw.supports))[257] == 1
     db, labels = prune_and_remap(raw, 2)
     assert db.item_count == 256 and db.cells.typecode == "B"
     assert list(db.rows()) == [tuple(range(256))] + [(r,) for r in range(256)]
@@ -541,7 +550,7 @@ def test_a_prune_to_256_ranks_narrows_the_cells():
 @pytest.mark.parametrize("mode", list(CountMode), ids=lambda m: m.value)
 def test_mining_257_items_matches_the_baseline(mode):
     raw = RawDatabase.from_rows(chain(gen_sparse(600, 257, 12, 3).rows(), distinct_labels(257).rows()))
-    minsup = min(raw.supports.values())
+    minsup = min(raw.supports)
     db, _ = prune_and_remap(raw, minsup)
     assert db.item_count == 257 and db.cells.itemsize == 2
     mined = mine_mfi(build_hdr(db), MinerConfig(minsup=minsup, mode=mode))
@@ -569,7 +578,8 @@ def test_pruned_cells_have_no_slack(minsup):
     raw = gen_sparse(3000, 1000, 10, 6)
     db, labels = prune_and_remap(raw, minsup)
     assert db.cells is not raw.cells and len(labels) < len(raw.labels)
-    assert len(db.cells) == sum(raw.supports[label] for label in labels)
+    support = dict(zip(raw.labels, raw.supports))
+    assert len(db.cells) == sum(support[label] for label in labels)
     assert sys.getsizeof(db.cells) == sys.getsizeof(array(db.cells.typecode)) + \
         db.cells.itemsize * len(db.cells)
 
@@ -599,8 +609,8 @@ def read_both_ways(tmp_path, data: bytes):
 
 def assert_same_database(one: RawDatabase, two: RawDatabase):
     assert two.cells.typecode == one.cells.typecode
-    assert (two.cells, two.ends, two.labels, two.empty_rows, two._id_supports) == \
-        (one.cells, one.ends, one.labels, one.empty_rows, one._id_supports)
+    assert two.ends.typecode == one.ends.typecode
+    assert two == one
 
 
 SPLIT_INPUTS = {  # the lines before the cut, and the lines after it

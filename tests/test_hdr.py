@@ -23,9 +23,9 @@ from hybridmfi import (
     select_mode,
 )
 from hybridmfi import hdr
-from hybridmfi.hdr import TidMask, _mask_of
+from hybridmfi.hdr import TidMask, _indices, _mask_of
 
-from conftest import verify_counts
+from conftest import txn_list, verify_counts
 
 
 def clone_store(store):
@@ -266,8 +266,8 @@ def test_count_node_after_projection(tiny_ms2):
     assert supports(horizontal) == supports(bitmap) == {1: 1, 2: 2}
     assert [txns for _, _, txns in horizontal] == [[0], [2, 4]]
     assert [txns for _, _, txns in bitmap] == [0b10101, 0b10101]
-    assert [list(project_vertical(store, pdr, txns, y).txns) for y, _, txns in bitmap] == \
-        [[0], [2, 4]]
+    assert [_indices(project_vertical(store, pdr, txns, y).txns.bits)
+            for y, _, txns in bitmap] == [[0], [2, 4]]
     assert counters.cells_touched == 3
 
 
@@ -360,7 +360,7 @@ def test_project_cells_counts_child_row_cells():
     assert select_mode(store, single) is CountMode.HORIZONTAL
     assert select_mode(store, every) is CountMode.HORIZONTAL
     masked = project(store, root, 1, CountMode.BITMAP)
-    assert list(masked.txns) == [0]
+    assert _indices(masked.txns.bits) == [0]
     assert select_mode(store, masked) is CountMode.BITMAP
 
 
@@ -419,11 +419,11 @@ def test_mode_independence_on_random_nodes():
         step = seed
         while True:
             expected = [t for t, row in enumerate(rows) if path <= row]
-            assert list(pdr.txns) == expected
+            assert txn_list(pdr.txns) == expected
             assert len(pdr.txns) == len(expected)
             if not tail or not expected:
                 break
-            copied = Pdr(list(pdr.txns))
+            copied = Pdr(list(expected))
             keep_list = not isinstance(pdr.txns, TidMask) and step % 3
             txns = pdr.txns
             listed, masked = (pdr, copied) if keep_list else (copied, pdr)
@@ -461,7 +461,7 @@ def test_projection_support_identity():
             child = project_vertical(store, pdr, txns, y)
             # The root was counted in bitmap mode, so the child is a mask.
             assert isinstance(child.txns, TidMask)
-            listed = list(child.txns)
+            listed = _indices(child.txns.bits)
             assert len(child.txns) == support == len(listed)
             assert listed == sorted(set(listed))
             assert set(listed) <= set(pdr.txns)
@@ -562,7 +562,7 @@ def test_verify_counts_catches_wrong_delivered_list(tiny_ms2):
         children = count_supports(store, child, tail, mode)
         assert verify_counts(store, child, tail, children)
         (y, support, txns), second = children
-        assert (y, support, list(project_vertical(store, child, txns, y).txns)) == \
+        assert (y, support, txn_list(project_vertical(store, child, txns, y).txns)) == \
             (0, 2, [2, 4])
         dropped = txns[1:] if mode is CountMode.HORIZONTAL else txns & ~(1 << 2)
         assert not verify_counts(store, child, tail, [(y, support, dropped), second])

@@ -37,7 +37,7 @@ from hybridmfi import (
 from hybridmfi.cli import render_mfi
 
 from conftest import (
-    assert_no_child_left, forced_split, label_mfi, needs_fork, sweep_databases,
+    assert_no_child_left, forced_split, label_mfi, needs_fork, sweep_databases, txn_list,
 )
 from test_differential import databases
 
@@ -153,7 +153,7 @@ def test_pep_containment_property():
                 for x, s, child in count_supports(store, pdr, tail[i + 1:], mode):
                     if s == head_support:
                         assert all(x in rows[t] for t in pdr.txns)
-                        assert list(project_vertical(store, pdr, child, x).txns) == \
+                        assert txn_list(project_vertical(store, pdr, child, x).txns) == \
                             list(pdr.txns)
                         checked[mode] += 1
             assert pdr.txns is y_txns  # neither count changed the Pdr

@@ -2,9 +2,10 @@
 on the interpreter's -O flag: an ``assert`` statement or a ``__debug__``
 branch vanishes under it. No module reads the environment. One function
 forks, every call that makes or ends a worker sits in one module, and no
-process pool module is imported. README must show only the
-CLI that exists, and its library example runs. Every exported name has a
-reader outside the tests."""
+process pool module is imported. No instance gains an attribute after
+its constructor returns. README must show only the CLI that exists, and
+its library example runs. Every exported name has a reader outside the
+tests."""
 
 import argparse
 import ast
@@ -44,6 +45,39 @@ def test_package_reads_no_environment():
             elif isinstance(node, ast.alias) and node.name in ("environ", "getenv"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, "environment reads: " + ", ".join(found)
+
+
+def _is_instance_dict(node: ast.AST) -> bool:
+    """Whether ``node`` is ``vars(...)`` or ``<expr>.__dict__``."""
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id == "vars"
+    return isinstance(node, ast.Attribute) and node.attr == "__dict__"
+
+
+def _fills_an_attribute(node: ast.AST) -> bool:
+    """Whether ``node`` names ``cached_property`` or ``__setattr__``, or
+    writes to an instance's dict."""
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    if name in ("cached_property", "__setattr__"):
+        return True
+    if isinstance(node, ast.Subscript):
+        return _is_instance_dict(node.value) and isinstance(node.ctx, (ast.Store, ast.Del))
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return _is_instance_dict(node.func.value) and \
+            node.func.attr in ("update", "setdefault", "pop", "__setitem__")
+    return False
+
+
+def test_package_fills_no_attribute_after_construction():
+    # Every frozen dataclass is complete when its constructor returns: no
+    # module defines a cached_property or writes an instance's attributes
+    # through vars(), __dict__ or __setattr__.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if _fills_an_attribute(node):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, "attributes filled after construction: " + ", ".join(found)
 
 
 def _fork_callers(tree: ast.AST, where: str = "<module>") -> list[str]:
