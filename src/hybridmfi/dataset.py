@@ -8,18 +8,18 @@ kept per row. A :class:`RawDatabase` holds each label as a dense item id,
 the ids numbering the distinct labels in ascending label order, and keeps
 the labels. Mining operates on a :class:`TransactionDatabase`, whose cells
 are ranks: the surviving frequent items form the dense range
-``[0, item_count)`` in ascending label order. When every item survives and
-no row is empty the ranks are the ids, and the pruned database shares the
-raw database's cells and ends. The cells' typecode is the narrowest of
-``'B'``, ``'H'`` and ``'I'`` that holds every id or rank of the database,
-picked from their count, so a cell costs 1 byte up to 256 items, 2 up to
-65,536 and 4 beyond, and no object of its own.
+``[0, item_count)`` in ascending label order. Neither database holds an
+empty row. When every item survives the ranks are the ids, and the pruned
+database shares the raw database's cells and ends. The cells' typecode is
+the narrowest of ``'B'``, ``'H'`` and ``'I'`` that holds every id or rank
+of the database, picked from their count, so a cell costs 1 byte up to 256
+items, 2 up to 65,536 and 4 beyond, and no object of its own.
 
 A regular file of at least ``_SPLIT_BYTES`` bytes is read in two halves by
 this process and a forked worker (``in_two``), each half packed as a
-database with its own label list and ids. The worker sends its packed
-cells, never a 4-byte label cell, and the joined halves equal the database
-one process would read.
+database with its own label list and ids. The worker sends its database,
+whose cells are packed ids, never 4-byte labels, and the joined halves
+equal the database one process would read.
 """
 
 from __future__ import annotations
@@ -78,19 +78,14 @@ _LABEL_TYPECODE = "I"
 _CELL_TYPECODES = [(code, 1 << 8 * array(code).itemsize) for code in "BHI"]
 
 
-def _cell_typecode(count: int) -> str:
-    """The narrowest cell typecode that holds ids 0 to ``count - 1``."""
-    return next(code for code, ids in _CELL_TYPECODES if count <= ids)
-
-
 def _packed_cells(values: Iterator[int], size: int, count: int,
                   tally: Callable[[list[int]], object] | None = None) -> array:
     """The first ``size`` of ``values``, each below ``count``, packed in the
-    narrowest cell typecode. The array is allocated at exactly ``size`` and
-    filled ``_PACK_STEP`` values at a time, so it keeps no slack and no list
-    of every value is ever held. ``tally``, if given, is called with each
-    step's list of values."""
-    code = _cell_typecode(count)
+    narrowest cell typecode that holds ``count`` ids. The array is
+    allocated at exactly ``size`` and filled ``_PACK_STEP`` values at a
+    time, so it keeps no slack and no list of every value is ever held.
+    ``tally``, if given, is called with each step's list of values."""
+    code = next(code for code, ids in _CELL_TYPECODES if count <= ids)
     cells = array(code, [0]) * size
     for start in range(0, size, _PACK_STEP):
         # struct packs a list into the array's own buffer faster than
@@ -116,7 +111,7 @@ class _FlatRows:
     ends: array
 
     def __len__(self) -> int:
-        """Number of rows, the empty ones included."""
+        """Number of rows."""
         return len(self.ends)
 
     def row_lengths(self) -> list[int]:
@@ -136,28 +131,25 @@ class RawDatabase(_FlatRows):
     """Transactions as ingested. Each cell is an item id and ``labels[id]``
     its label; ``labels`` ascends, so ids sort as their labels do, and every
     label occurs in some row. ``supports[id]`` is the number of rows holding
-    the item, counted once, as the rows are packed. ``empty_rows`` tells
-    whether any row is empty, recorded as the rows are built. Empty
-    transactions are permitted here; they disappear at the pruning stage."""
+    the item, counted once, as the rows are packed. No row is empty,
+    however the database is built."""
 
     labels: list[int]
     supports: tuple[int, ...]
-    empty_rows: bool
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> RawDatabase:
         """The database whose transactions are ``rows`` of labels, each
-        sorted and deduplicated. Labels are collected as unsigned 32-bit
-        ints: a negative or wider one raises OverflowError."""
+        sorted and deduplicated, an empty row skipped as ``parse_fimi``
+        skips a blank line. Labels are collected as unsigned 32-bit ints: a
+        negative or wider one raises OverflowError."""
         cells = array(_LABEL_TYPECODE)
         ends = array(_END_TYPECODE)
-        empty_rows = False
         for row in rows:
-            start = len(cells)
-            cells.fromlist(sorted(set(row)))
-            empty_rows = empty_rows or len(cells) == start
-            ends.append(len(cells))
-        return _interned(cells, ends, set(cells), empty_rows)
+            if row := sorted(set(row)):
+                cells.fromlist(row)
+                ends.append(len(cells))
+        return _interned(cells, ends, set(cells))
 
     def rows(self) -> Iterator[tuple[int, ...]]:
         """Each transaction in turn as a label tuple, made as it is reached."""
@@ -166,8 +158,7 @@ class RawDatabase(_FlatRows):
             yield tuple(map(label, row))
 
 
-def _interned(labelled: array, ends: array, distinct: Iterable[int],
-              empty_rows: bool) -> RawDatabase:
+def _interned(labelled: array, ends: array, distinct: Iterable[int]) -> RawDatabase:
     """The database of rows of ``labelled`` cells, each cell the id of its
     label among the ``distinct`` labels. Ids keep label order, so each row
     stays ascending. The ids are packed a step at a time, so besides the
@@ -179,7 +170,7 @@ def _interned(labelled: array, ends: array, distinct: Iterable[int],
     counts: Counter[int] = Counter()
     cells = _packed_cells(map(to_id, labelled), len(labelled), len(labels), counts.update)
     supports = tuple(map(counts.__getitem__, range(len(labels))))
-    return RawDatabase(cells, ends, labels, supports, empty_rows)
+    return RawDatabase(cells, ends, labels, supports)
 
 
 @dataclass(frozen=True)
@@ -226,8 +217,7 @@ def read_fimi(path) -> RawDatabase:
     before the cut and the worker, from a handle of its own, the lines after
     it. Per half, neither the bytes nor the lines are ever all held at once.
     Each half is packed as a database of its own, the worker sends its
-    packed cells, row ends, labels and supports, and the halves are joined
-    into the one-process result."""
+    database, and the halves are joined into the one-process result."""
     with open(path, "rb") as handle:
         # A worker reopening a file descriptor would share its offset.
         cut = 0 if isinstance(path, int) else _cut(handle)
@@ -270,11 +260,11 @@ def _blocks(handle, size: float = math.inf) -> Iterator[bytes]:
         yield block
 
 
-def _read_rest(path, cut: int) -> tuple:
-    """The cells, ends, labels and supports of the database of the file's
-    lines from byte ``cut`` on, read by a forked worker from a handle of its
-    own, since the one it inherits shares its offset with the caller's. A
-    parse error names the line's number in the whole file."""
+def _read_rest(path, cut: int) -> RawDatabase:
+    """The database of the file's lines from byte ``cut`` on, read by a
+    forked worker from a handle of its own, since the one it inherits shares
+    its offset with the caller's. A parse error names the line's number in
+    the whole file."""
     with open(path, "rb") as handle:
         handle.seek(cut)
         try:
@@ -283,32 +273,31 @@ def _read_rest(path, cut: int) -> tuple:
             handle.seek(0)
             before = len(handle.read(cut).splitlines())
             raise FimiParseError(before + exc.line_no, exc.message) from None
-    return db.cells, db.ends, db.labels, db.supports
+    return db
 
 
-def _joined(first: RawDatabase, rest: tuple) -> RawDatabase:
-    """The database of ``first``'s rows followed by the rows ``_read_rest``
-    gave as ``rest``, its cells and ends as bytes. Ids number the union of
-    the two label lists; a half with other labels is mapped to them through
-    a table and packed again at the union's typecode. A label's support is
-    the sum of the two halves' supports."""
-    cells, ends, labels, counts = rest
-    supports = Counter(dict(zip(labels, counts)))
+def _joined(first: RawDatabase, second: RawDatabase) -> RawDatabase:
+    """The database of ``first``'s rows followed by ``second``'s, reusing
+    ``first``'s arrays. Ids number the union of the two label lists; a half
+    with other labels is mapped to them through a table and packed again at
+    the union's typecode. A label's support is the sum of the two halves'
+    supports."""
+    supports = Counter(dict(zip(second.labels, second.supports)))
     supports.update(dict(zip(first.labels, first.supports)))
     union = sorted(supports)
 
-    def in_union(half_labels: list[int], half_cells: array) -> array:
-        if half_labels == union:
-            return half_cells
+    def in_union(half: RawDatabase) -> array:
+        if half.labels == union:
+            return half.cells
         id_of = dict(zip(union, range(len(union))))
-        table = list(map(id_of.__getitem__, half_labels))
-        return _packed_cells(map(table.__getitem__, half_cells), len(half_cells), len(union))
+        table = list(map(id_of.__getitem__, half.labels))
+        return _packed_cells(map(table.__getitem__, half.cells), len(half.cells), len(union))
 
-    joined = in_union(first.labels, first.cells)
-    offset = len(joined)
-    joined += in_union(labels, array(_cell_typecode(len(labels)), cells))
-    first.ends.extend(map(offset.__add__, array(_END_TYPECODE, ends)))
-    return RawDatabase(joined, first.ends, union, tuple(map(supports.__getitem__, union)), False)
+    cells = in_union(first)
+    offset = len(cells)
+    cells += in_union(second)
+    first.ends.extend(map(offset.__add__, second.ends))
+    return RawDatabase(cells, first.ends, union, tuple(map(supports.__getitem__, union)))
 
 
 def _parse_blocks(blocks: Iterable[bytes]) -> RawDatabase:
@@ -359,12 +348,12 @@ def _parse_blocks(blocks: Iterable[bytes]) -> RawDatabase:
             ends.append(len(cells))
         first_line += len(lines)
         del lines
-    return _interned(cells, ends, set(label_of.values()), False)
+    return _interned(cells, ends, set(label_of.values()))
 
 
 def to_fimi(db: RawDatabase) -> str:
-    """Render a database back to FIMI text. Inverse of parse_fimi for
-    databases without empty transactions."""
+    """Render a database back to FIMI text, one line a row: the inverse of
+    ``parse_fimi``."""
     return "".join(" ".join(map(str, row)) + "\n" for row in db.rows())
 
 
@@ -373,12 +362,12 @@ def prune_and_remap(db: RawDatabase, minsup: int) -> tuple[TransactionDatabase, 
     ranks in ascending label order, and drop transactions that end up empty.
     Returns the database and the surviving labels, rank r's label at index
     r. The supports are the database's own, counted when it was built.
-    When every item survives and no row is empty, the ranks are the ids and
-    the pruned database shares the raw database's ``cells`` and ``ends``."""
+    When every item survives, the ranks are the ids and the pruned database
+    shares the raw database's ``cells`` and ``ends``."""
     if minsup < 1:
         raise ValueError(f"minsup must be a positive integer, got {minsup}")
     supports = db.supports
-    if not db.empty_rows and min(supports, default=minsup) >= minsup:
+    if min(supports, default=minsup) >= minsup:
         return TransactionDatabase(db.cells, db.ends, len(supports), minsup), list(db.labels)
     # Flags and ranks are lists indexed by id. Every loop below runs in C:
     # one flag byte per cell, the kept cells mapped to ranks and packed at

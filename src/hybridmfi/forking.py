@@ -1,7 +1,7 @@
 """One job run as two halves in two processes.
 
 ``in_two`` forks one worker, which runs one half and sends its result back
-over a pipe with marshal, while the calling process runs the other half.
+over a pipe with pickle, while the calling process runs the other half.
 The worker's whole life is in this module: no worker outlives the call, an
 exception either half raises is raised in the caller, and where no worker
 can be forked the caller is told so and runs the job in one process.
@@ -9,8 +9,8 @@ can be forked the caller is told so and runs the job in one process.
 
 from __future__ import annotations
 
-import marshal
 import os
+import pickle
 import signal
 import threading
 from typing import Callable, NoReturn
@@ -25,12 +25,12 @@ def _usable_cpus() -> int:
 
 def in_two(here: Callable[[], object], there: Callable[[], object]) -> tuple | None:
     """``(here(), there())``, with ``there`` called in a forked worker while
-    this process calls ``here``. ``there`` returns what marshal can send:
-    ints, bytes, arrays (which arrive as bytes), and lists and tuples of
-    them. None, with neither called, where ``os.fork`` is missing, fewer
+    this process calls ``here``. ``there`` returns any value pickle can
+    send. None, with neither called, where ``os.fork`` is missing, fewer
     than two CPUs are usable, another thread runs or the fork fails. If
     ``here`` raises, the worker is killed and reaped; if ``there`` raises,
-    its exception is raised here once ``here`` returns."""
+    its exception is raised here once ``here`` returns. A worker killed by a
+    signal or exiting nonzero raises RuntimeError, whatever it sent."""
     if not (hasattr(os, "fork") and threading.active_count() == 1 and _usable_cpus() >= 2):
         return None
     read_end, write_end = os.pipe()
@@ -52,36 +52,36 @@ def in_two(here: Callable[[], object], there: Callable[[], object]) -> tuple | N
         raise
     finally:
         status = os.waitpid(pid, 0)[1]
-    if not payload:
-        raise RuntimeError(f"worker {pid} sent no result (wait status {status})")
-    ok, theirs = marshal.loads(payload)
+    if status:
+        raise RuntimeError(f"worker {pid} did not exit cleanly (wait status {status})")
+    ok, theirs = pickle.loads(payload)
     if not ok:
-        import pickle  # only a failed worker's exception travels pickled
-
-        raise pickle.loads(theirs)
+        raise theirs
     return ours, theirs
 
 
 def _worker(there: Callable[[], object], read_end: int, write_end: int) -> NoReturn:
-    """The forked worker's whole life: call ``there``, send its result or
-    its exception over the pipe, and exit without returning into the
-    caller's code or flushing its inherited buffers."""
+    """The forked worker's whole life: call ``there``, send ``(True, its
+    result)`` or ``(False, its exception)`` over the pipe, and exit without
+    returning into the caller's code or flushing its inherited buffers,
+    with status 0 only once the whole payload is written. An exception that
+    does not survive pickle is sent as a RuntimeError carrying its repr."""
+    status = 1
     try:
         os.close(read_end)
         try:
-            payload = marshal.dumps((True, there()))
+            payload = pickle.dumps((True, there()))
         except BaseException as exc:
-            import pickle
-
             try:
-                pickled = pickle.dumps(exc)
+                payload = pickle.dumps((False, exc))
+                pickle.loads(payload)
             except Exception:
-                pickled = pickle.dumps(RuntimeError(f"worker raised {exc!r}"))
-            payload = marshal.dumps((False, pickled))
+                payload = pickle.dumps((False, RuntimeError(f"worker raised {exc!r}")))
         with open(write_end, "wb") as pipe:
             pipe.write(payload)
+        status = 0
     finally:
-        os._exit(0)
+        os._exit(status)
 
 
 def exit_if_orphaned(parent: int) -> None:

@@ -11,7 +11,7 @@ from dataclasses import fields
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hybridmfi import (
@@ -223,14 +223,14 @@ def test_prune_counts_supports_once():
 
     raw = gen_sparse(300, 30, 6, 4)
     cells, ends = Cells(raw.cells), Ends(raw.ends.typecode, raw.ends)
-    shared = RawDatabase(cells, ends, raw.labels, raw.supports, raw.empty_rows)
+    shared = RawDatabase(cells, ends, raw.labels, raw.supports)
     thresholds = (1, 30, 60)
     assert min(raw.supports) < 30  # the last two prunes drop items
     pruned = [prune_and_remap(shared, minsup) for minsup in thresholds]
     assert (cells.passes, ends.passes) == (2 * 2, 2 * 2)
     assert pruned[0][0].cells is cells
     assert pruned == [prune_and_remap(RawDatabase(list(raw.cells), copy(raw.ends), raw.labels,
-                                                  raw.supports, raw.empty_rows), minsup)
+                                                  raw.supports), minsup)
                       for minsup in thresholds]
     counts = Counter(raw.cells)
     assert shared.supports == tuple(map(counts.__getitem__, range(len(raw.labels))))
@@ -349,6 +349,7 @@ def test_flat_layout_matches_naive_rows(text, minsup):
     assert raw.labels == sorted({x for row in rows for x in row})
     assert [raw.labels[x] for x in raw.cells] == [x for row in rows for x in row]
     assert raw == RawDatabase.from_rows(rows)
+    assert raw == RawDatabase.from_rows(map(int, line.split()) for line in text.splitlines())
     counts = Counter(x for row in rows for x in row)
     assert raw.supports == tuple(map(counts.__getitem__, raw.labels))
     drop_all = max(raw.supports, default=0) + 1
@@ -482,11 +483,19 @@ def test_prune_builds_new_rows_when_an_item_or_a_row_drops():
     db, labels = prune_and_remap(raw, min(raw.supports) + 1)
     assert db.cells is not raw.cells and db.ends is not raw.ends
     assert len(labels) < len(raw.labels)
-    with_empty = RawDatabase.from_rows([(5, 7), (), (7, 5)])
-    assert with_empty.empty_rows and not raw.empty_rows
-    db, labels = prune_and_remap(with_empty, 1)
-    assert db.cells is not with_empty.cells and db.ends is not with_empty.ends
-    assert list(db.rows()) == [(0, 1), (0, 1)] and labels == [5, 7]
+    # A row that empties only because its one item drops.
+    emptied = RawDatabase.from_rows([(5, 7), (9,), (7, 5)])
+    assert len(emptied) == 3
+    db, labels = prune_and_remap(emptied, 2)
+    assert db.cells is not emptied.cells and db.ends is not emptied.ends
+    assert list(db.rows()) == [(0, 1), (0, 1)] and len(db) == 2 and labels == [5, 7]
+
+
+def test_from_rows_skips_empty_rows_as_parse_skips_blank_lines():
+    raw = RawDatabase.from_rows([(5, 7), (), (7, 5)])
+    assert raw == parse_fimi("5 7\n\n7 5\n") and len(raw) == 2
+    assert parse_fimi(to_fimi(raw)) == raw
+    assert RawDatabase.from_rows([(), []]) == parse_fimi("\n\n")
 
 
 @pytest.mark.parametrize("mode", list(CountMode), ids=lambda m: m.value)
@@ -507,11 +516,11 @@ def test_databases_hold_no_tuple_per_row():
     # attribute is added after construction, and none holds a per-row
     # object.
     raw = RawDatabase.from_rows([(3, 1), (2,), (), (1, 2, 3)])
-    assert (raw.labels, raw.supports) == ([1, 2, 3], (2, 2, 2))
+    assert (raw.labels, raw.supports, len(raw)) == ([1, 2, 3], (2, 2, 2), 3)
     for db in (raw, prune_and_remap(raw, 1)[0], prune_and_remap(raw, 2)[0]):
         assert list(vars(db)) == [field.name for field in fields(db)]
         for name, value in vars(db).items():
-            assert type(value) in (list, tuple, array, int, bool), name
+            assert type(value) in (list, tuple, array, int), name
             if type(value) in (list, tuple):
                 assert all(type(x) is int for x in value), name
         assert type(db.cells) is array and db.cells.typecode == "B" and db.ends.typecode == "I"
@@ -632,6 +641,29 @@ def test_read_in_two_equals_one_process(tmp_path, first, second):
     assert forked == 1
     assert_same_database(one, two)
     assert one == parse_fimi(data)
+
+
+@needs_fork
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=fimi_texts())
+def test_read_in_two_equals_parse_on_generated_texts(tmp_path, text):
+    # The halves of a generated text often hold different labels, so the
+    # join renumbers one or both of them.
+    data = text.encode()
+    path = tmp_path / "generated.dat"
+    path.write_bytes(data)
+    with forced_split() as forked:
+        two = read_fimi(path)
+    assert_no_child_left()
+    one = parse_fimi(text)
+    for field in fields(RawDatabase):
+        ours, theirs = getattr(two, field.name), getattr(one, field.name)
+        assert type(ours) is type(theirs) and ours == theirs, field.name
+        if type(ours) is array:
+            assert ours.typecode == theirs.typecode, field.name
+    cut = data.find(b"\n", len(data) // 2) + 1
+    assert len(forked) == (0 < cut < len(data))
 
 
 @needs_fork

@@ -1,8 +1,8 @@
 """Checks on the source itself. Invariants in the package must not depend
 on the interpreter's -O flag: an ``assert`` statement or a ``__debug__``
 branch vanishes under it. No module reads the environment. One function
-forks, every call that makes or ends a worker sits in one module, and no
-process pool module is imported. No instance gains an attribute after
+forks, every call that makes or ends a worker or sends its result sits in
+one module, and no marshal or process pool module is imported. No instance gains an attribute after
 its constructor returns. README must show only the CLI that exists, and
 its library example runs. Every exported name has a reader outside the
 tests."""
@@ -120,18 +120,25 @@ def test_one_function_forks_and_no_pool_is_imported():
 
 def test_worker_lifetime_sits_in_the_fork_helper():
     # The fork, the pipe, the wait, the kill and the worker's exit are made
-    # in one module, so each worker's lifetime is read in one place.
-    names = {"fork", "pipe", "waitpid", "kill", "_exit"}
+    # in one module, so each worker's lifetime is read in one place. So is
+    # the one wire format, pickle, by which a worker's result or exception
+    # travels, and no module imports marshal, a second one.
+    names = {("os", name) for name in ("fork", "pipe", "waitpid", "kill", "_exit")}
+    names |= {("pickle", "dumps"), ("pickle", "loads")}
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                    and node.value.id == "os" and node.attr in names:
-                found.setdefault(node.attr, set()).add(path.name)
-            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                    and (node.value.id, node.attr) in names:
+                found.setdefault((node.value.id, node.attr), set()).add(path.name)
+            elif isinstance(node, ast.ImportFrom):
                 for alias in node.names:
-                    if alias.name in names:
-                        found.setdefault(alias.name, set()).add(path.name)
+                    if (node.module, alias.name) in names or node.module == "marshal":
+                        found.setdefault((node.module, alias.name), set()).add(path.name)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name == "marshal":
+                        found.setdefault(("marshal", None), set()).add(path.name)
     assert found == dict.fromkeys(names, {"forking.py"}), found
 
 
