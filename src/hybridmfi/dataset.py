@@ -268,12 +268,11 @@ def _read_rest(path, cut: int) -> RawDatabase:
     with open(path, "rb") as handle:
         handle.seek(cut)
         try:
-            db = _parse_blocks(_blocks(handle))
+            return _parse_blocks(_blocks(handle))
         except FimiParseError as exc:
             handle.seek(0)
             before = len(handle.read(cut).splitlines())
             raise FimiParseError(before + exc.line_no, exc.message) from None
-    return db
 
 
 def _joined(first: RawDatabase, second: RawDatabase) -> RawDatabase:

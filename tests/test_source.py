@@ -2,10 +2,10 @@
 on the interpreter's -O flag: an ``assert`` statement or a ``__debug__``
 branch vanishes under it. No module reads the environment. One function
 forks, every call that makes or ends a worker or sends its result sits in
-one module, and no marshal or process pool module is imported. No instance gains an attribute after
-its constructor returns. README must show only the CLI that exists, and
-its library example runs. Every exported name has a reader outside the
-tests."""
+one module, and no marshal or process pool module is imported. No
+instance gains an attribute after its constructor returns. README must
+show only the CLI that exists, and its library example runs. Every
+exported name has a reader outside the tests."""
 
 import argparse
 import ast
