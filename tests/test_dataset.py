@@ -516,6 +516,7 @@ def test_databases_hold_no_tuple_per_row():
     # attribute is added after construction, and none holds a per-row
     # object.
     raw = RawDatabase.from_rows([(3, 1), (2,), (), (1, 2, 3)])
+    assert list(vars(raw)) == ["cells", "ends", "labels", "supports"]
     assert (raw.labels, raw.supports, len(raw)) == ([1, 2, 3], (2, 2, 2), 3)
     for db in (raw, prune_and_remap(raw, 1)[0], prune_and_remap(raw, 2)[0]):
         assert list(vars(db)) == [field.name for field in fields(db)]
