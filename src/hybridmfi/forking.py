@@ -10,7 +10,6 @@ can be forked the caller is told so and runs the job in one process.
 from __future__ import annotations
 
 import os
-import pickle
 import signal
 import threading
 from typing import Callable, NoReturn
@@ -33,6 +32,7 @@ def in_two(here: Callable[[], object], there: Callable[[], object]) -> tuple | N
     signal or exiting nonzero raises RuntimeError, whatever it sent."""
     if not (hasattr(os, "fork") and threading.active_count() == 1 and _usable_cpus() >= 2):
         return None
+    import pickle  # here, not at the top: a run that never forks never loads it
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -65,7 +65,8 @@ def _worker(there: Callable[[], object], read_end: int, write_end: int) -> NoRet
     result)`` or ``(False, its exception)`` over the pipe, and exit without
     returning into the caller's code or flushing its inherited buffers,
     with status 0 only once the whole payload is written. An exception that
-    does not survive pickle is sent as a RuntimeError carrying its repr."""
+    pickle cannot send is sent as a RuntimeError carrying its repr."""
+    import pickle  # already loaded by in_two before the fork
     status = 1
     try:
         os.close(read_end)
@@ -74,7 +75,6 @@ def _worker(there: Callable[[], object], read_end: int, write_end: int) -> NoRet
         except BaseException as exc:
             try:
                 payload = pickle.dumps((False, exc))
-                pickle.loads(payload)
             except Exception:
                 payload = pickle.dumps((False, RuntimeError(f"worker raised {exc!r}")))
         with open(write_end, "wb") as pipe:

@@ -515,10 +515,14 @@ def test_databases_hold_no_tuple_per_row():
     # Each database is its fields, flat sequences of ints and scalars: no
     # attribute is added after construction, and none holds a per-row
     # object.
-    raw = RawDatabase.from_rows([(3, 1), (2,), (), (1, 2, 3)])
+    # At minsup 2 label 4 and its row drop, so that prune builds new arrays.
+    raw = RawDatabase.from_rows([(3, 1), (2,), (), (4,), (1, 2, 3)])
     assert list(vars(raw)) == ["cells", "ends", "labels", "supports"]
-    assert (raw.labels, raw.supports, len(raw)) == ([1, 2, 3], (2, 2, 2), 3)
-    for db in (raw, prune_and_remap(raw, 1)[0], prune_and_remap(raw, 2)[0]):
+    assert (raw.labels, raw.supports, len(raw)) == ([1, 2, 3, 4], (2, 2, 2, 1), 4)
+    shared, rebuilt = prune_and_remap(raw, 1)[0], prune_and_remap(raw, 2)[0]
+    assert shared.cells is raw.cells and rebuilt.cells is not raw.cells
+    assert rebuilt.ends is not raw.ends and len(rebuilt) == 3
+    for db in (raw, shared, rebuilt):
         assert list(vars(db)) == [field.name for field in fields(db)]
         for name, value in vars(db).items():
             assert type(value) in (list, tuple, array, int), name
