@@ -19,7 +19,12 @@ A regular file of at least ``_SPLIT_BYTES`` bytes is read in two halves by
 this process and a forked worker (``in_two``), each half packed as a
 database with its own label list and ids. The worker sends its database,
 whose cells are packed ids, never 4-byte labels, and the joined halves
-equal the database one process would read.
+equal the database one process would read. A prune that drops an item from
+a database of at least ``_SPLIT_SETUP_CELLS`` cells runs in two halves of
+the rows the same way: the worker inherits the raw database, so nothing is
+sent to it, and sends back its half's packed ranks and row ends, which are
+appended to this process's half. ``hdr.build_hdr`` splits a pruned
+database of that many cells likewise.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from functools import partial
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import sub
 from struct import pack_into
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .forking import in_two
 
@@ -293,9 +298,7 @@ def _joined(first: RawDatabase, second: RawDatabase) -> RawDatabase:
         return _packed_cells(map(table.__getitem__, half.cells), len(half.cells), len(union))
 
     cells = in_union(first)
-    offset = len(cells)
-    cells += in_union(second)
-    first.ends.extend(map(offset.__add__, second.ends))
+    _append_rows(cells, first.ends, in_union(second), second.ends)
     return RawDatabase(cells, first.ends, union, tuple(map(supports.__getitem__, union)))
 
 
@@ -362,25 +365,68 @@ def prune_and_remap(db: RawDatabase, minsup: int) -> tuple[TransactionDatabase, 
     Returns the database and the surviving labels, rank r's label at index
     r. The supports are the database's own, counted when it was built.
     When every item survives, the ranks are the ids and the pruned database
-    shares the raw database's ``cells`` and ``ends``."""
+    shares the raw database's ``cells`` and ``ends``. Otherwise a database
+    of at least ``_SPLIT_SETUP_CELLS`` cells is pruned in two halves of its
+    rows where a worker can be forked (``in_two``): this process prunes the
+    first half and the worker, which inherits the database, the second, and
+    sends its cells and ends, which are appended to this half's."""
     if minsup < 1:
         raise ValueError(f"minsup must be a positive integer, got {minsup}")
     supports = db.supports
     if min(supports, default=minsup) >= minsup:
         return TransactionDatabase(db.cells, db.ends, len(supports), minsup), list(db.labels)
-    # Flags and ranks are lists indexed by id. Every loop below runs in C:
-    # one flag byte per cell, the kept cells mapped to ranks and packed at
-    # their count, which the supports give, and each row's new end from the
-    # count of its kept flags, rows keeping none dropped.
     kept = [count >= minsup for count in supports]
     rank_of = [rank - 1 for rank in accumulate(kept)]
-    flags = bytes(map(kept.__getitem__, db.cells))
     labels = list(compress(db.labels, kept))
-    ranks = map(rank_of.__getitem__, compress(db.cells, flags))
-    cells = _packed_cells(ranks, sum(compress(supports, kept)), len(labels))
-    row_counts = map(flags.count, repeat(1), chain((0,), db.ends), db.ends)
-    ends = array(_END_TYPECODE, accumulate(filter(None, row_counts)))
+    prune = partial(_pruned_rows, kept=kept, rank_of=rank_of, count=len(labels))
+    halves = len(db.cells) >= _SPLIT_SETUP_CELLS and in_two(*_halves(db, prune))
+    if halves:
+        (cells, ends), rest = halves
+        _append_rows(cells, ends, *rest)
+    else:
+        cells, ends = prune(db.cells, db.ends)
     return TransactionDatabase(cells, ends, len(labels), minsup), labels
+
+
+# A raw database of at least this many cells is pruned, and a pruned one of
+# at least this many is built (hdr.build_hdr), in two processes.
+_SPLIT_SETUP_CELLS = 1 << 18
+
+
+def _halves(db: RawDatabase, prune: Callable[[Iterable[int], Sequence[int]], object]
+            ) -> tuple[Callable[[], object], Callable[[], object]]:
+    """``prune`` of the first half of ``db``'s rows and of the second, as
+    two calls for ``in_two``. Each is given views of its rows' cells and
+    their ends counted from its first cell; the call of the second half
+    makes its shifted ends itself."""
+    h = len(db) // 2
+    mid = db.ends[h - 1] if h else 0
+    cells, ends = memoryview(db.cells), memoryview(db.ends)
+    return (partial(prune, cells[:mid], ends[:h]),
+            lambda: prune(cells[mid:], [end - mid for end in ends[h:]]))
+
+
+def _pruned_rows(cells: Iterable[int], ends: Sequence[int], kept: list[bool],
+                 rank_of: list[int], count: int) -> tuple[array, array]:
+    """The rows of ``cells`` cut at ``ends`` with each id ``kept`` denies
+    dropped and each other mapped to its rank in ``rank_of``, the ranks
+    packed at their ``count``, and rows keeping no cell dropped. Every loop
+    runs in C: one flag byte per cell, the kept cells mapped to ranks and
+    packed, and each row's new end from the count of its kept flags. The
+    cells are read twice and the ends twice."""
+    flags = bytes(map(kept.__getitem__, cells))
+    ranks = map(rank_of.__getitem__, compress(cells, flags))
+    packed = _packed_cells(ranks, flags.count(1), count)
+    row_counts = map(flags.count, repeat(1), chain((0,), ends), ends)
+    return packed, array(_END_TYPECODE, accumulate(filter(None, row_counts)))
+
+
+def _append_rows(cells: array, ends: array, more_cells: array, more_ends: array) -> None:
+    """Append the rows of ``more_cells`` cut at ``more_ends`` to those of
+    ``cells`` cut at ``ends``, in place. The cells share a typecode."""
+    offset = len(cells)
+    cells += more_cells
+    ends.extend(map(offset.__add__, more_ends))
 
 
 def _clamped_poisson(rng: random.Random, mean: float, upper: int) -> int:

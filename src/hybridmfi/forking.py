@@ -1,10 +1,15 @@
 """One job run as two halves in two processes.
 
 ``in_two`` forks one worker, which runs one half and sends its result back
-over a pipe with pickle, while the calling process runs the other half.
-The worker's whole life is in this module: no worker outlives the call, an
-exception either half raises is raised in the caller, and where no worker
-can be forked the caller is told so and runs the job in one process.
+over a pipe with pickle, while the calling process runs the other half and
+then decodes the worker's result as it streams in, so it never holds the
+result's bytes and its value at once. The worker's whole life is in this
+module: no worker outlives the call, an exception either half raises is
+raised in the caller, and where no worker can be forked the caller is told
+so and runs the job in one process. Four stages use it, each on a large
+enough input: ``read_fimi`` reads a file in two halves of its bytes,
+``prune_and_remap`` and ``build_hdr`` work on two halves of the rows, and
+``mine_mfi`` mines two halves of the root's children.
 """
 
 from __future__ import annotations
@@ -25,11 +30,12 @@ def _usable_cpus() -> int:
 def in_two(here: Callable[[], object], there: Callable[[], object]) -> tuple | None:
     """``(here(), there())``, with ``there`` called in a forked worker while
     this process calls ``here``. ``there`` returns any value pickle can
-    send. None, with neither called, where ``os.fork`` is missing, fewer
-    than two CPUs are usable, another thread runs or the fork fails. If
-    ``here`` raises, the worker is killed and reaped; if ``there`` raises,
-    its exception is raised here once ``here`` returns. A worker killed by a
-    signal or exiting nonzero raises RuntimeError, whatever it sent."""
+    send, which is decoded as it arrives. None, with neither called, where
+    ``os.fork`` is missing, fewer than two CPUs are usable, another thread
+    runs or the fork fails. If ``here`` raises, the worker is killed and
+    reaped; if ``there`` raises, its exception is raised here once ``here``
+    returns. A worker killed by a signal or exiting nonzero raises
+    RuntimeError, whatever it sent."""
     if not (hasattr(os, "fork") and threading.active_count() == 1 and _usable_cpus() >= 2):
         return None
     import pickle  # here, not at the top: a run that never forks never loads it
@@ -46,7 +52,12 @@ def in_two(here: Callable[[], object], there: Callable[[], object]) -> tuple | N
     try:
         with open(read_end, "rb") as pipe:
             ours = here()
-            payload = pipe.read()
+            try:
+                # Decoded as it arrives, so the payload's bytes and its
+                # value are never both held.
+                ok, theirs = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError) as exc:
+                ok, theirs = False, exc  # cut short: the wait status says why
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         raise
@@ -54,7 +65,6 @@ def in_two(here: Callable[[], object], there: Callable[[], object]) -> tuple | N
         status = os.waitpid(pid, 0)[1]
     if status:
         raise RuntimeError(f"worker {pid} did not exit cleanly (wait status {status})")
-    ok, theirs = pickle.loads(payload)
     if not ok:
         raise theirs
     return ours, theirs

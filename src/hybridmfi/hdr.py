@@ -5,6 +5,9 @@ of row ends says. The vertical part is each item's ascending transaction
 sequence, a packed 32-bit array that is the root's child projection, and
 each item's transaction bitmask (bit t set iff transaction t holds the
 item), built from that array the first time a bitmap-mode count needs it.
+A database of at least ``dataset._SPLIT_SETUP_CELLS`` cells has its item
+arrays filled in two halves of its rows, the second by a forked worker
+(``in_two``) that sends its half of every array back to be appended.
 
 Support counting at a search node runs over the node's projected
 transactions (its Pdr) in one of two modes, and in both the count returns
@@ -21,8 +24,9 @@ starts as a sequence of its transactions: the root's is a range, a root
 child's its item's array, a deeper child's a delivered list. At each
 sequence node ``select_mode`` picks the mode by one density rule: bitmap
 iff the node holds at least one transaction in 32. A bitmap count builds
-the node's mask from its sequence, so its children are masks, and from
-then on the whole subtree is masks, counted by bitmap only.
+the node's mask from its sequence (a root child's is its item's mask, built
+once, in the store), so its children are masks, and from then on the whole
+subtree is masks, counted by bitmap only.
 """
 
 from __future__ import annotations
@@ -32,9 +36,13 @@ import re
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from typing import Sequence
 
+from . import dataset
 from .dataset import TransactionDatabase
+from .forking import in_two
 
 
 class CountMode(enum.Enum):
@@ -95,9 +103,12 @@ class Pdr:
     ascending index sequence or a TidMask of a bitmap count's child. The
     sequence is the root's range, one of the store's ``item_txns`` arrays or
     a list a horizontal count delivered, so neither the Pdr (frozen) nor its
-    sequence is ever mutated."""
+    sequence is ever mutated. ``item`` is the rank whose ``item_txns``
+    array the sequence is, else None: a bitmap count of that Pdr takes the
+    store's mask of the item rather than build the same mask again."""
 
     txns: Sequence[int] | TidMask
+    item: int | None = None
 
 
 @dataclass(slots=True, eq=False)
@@ -156,12 +167,35 @@ _MAX_TXNS = 1 << (8 * _TXN_BYTES - 1)
 
 def build_hdr(db: TransactionDatabase) -> HdrStore:
     """Lay out the per-item transaction sequences in one pass over the
-    database; item masks are left to be built on first use. Raises
-    OverflowError for a database whose transaction indices do not fit a
-    C int."""
+    database; item masks are left to be built on first use. A database of
+    at least ``_SPLIT_SETUP_CELLS`` cells (the prune's gate) is laid out in
+    two halves of its rows where a worker can be forked (``in_two``): this
+    process fills each item's sequence from the first half and the worker,
+    which inherits the database, from the second, and sends its sequences,
+    which are appended to this half's. Raises OverflowError for a database
+    whose transaction indices do not fit a C int."""
     if len(db) > _MAX_TXNS:
         raise OverflowError(f"{len(db)} transactions: indices of at most "
                             f"{_MAX_TXNS} fit the store's {_TXN_TYPECODE!r} arrays")
+    n, h = len(db), len(db) // 2
+    halves = len(db.cells) >= dataset._SPLIT_SETUP_CELLS and \
+        in_two(partial(_item_txns, db, 0, h),
+               lambda: [txns.tobytes() for txns in _item_txns(db, h, n)])
+    if halves:
+        # The worker sends bytes, not arrays: pickle would hold every
+        # array's bytes besides the array until the whole result is read.
+        item_txns, rest = halves
+        rest.reverse()
+        for txns in item_txns:
+            txns.frombytes(rest.pop())  # each of the worker's freed once appended
+    else:
+        item_txns = _item_txns(db, 0, n)
+    return HdrStore(db, db.row_lengths(), item_txns, [None] * db.item_count)
+
+
+def _item_txns(db: TransactionDatabase, first: int, stop: int) -> list[array]:
+    """Each item's ascending sequence of the transactions among rows
+    ``[first, stop)`` that hold it."""
     item_txns = [array(_TXN_TYPECODE) for _ in range(db.item_count)]
     # Appending a row's index as its 4 native bytes costs less per cell
     # than array.append, which converts the int once per cell. Each row is
@@ -169,13 +203,14 @@ def build_hdr(db: TransactionDatabase) -> HdrStore:
     # each rank's int.
     fills = [txns.frombytes for txns in item_txns]
     byteorder = sys.byteorder
-    cells, ends, start = db.cells, db.ends, 0
-    for t, end in enumerate(ends):
+    cells, ends = db.cells, db.ends
+    start = ends[first - 1] if first else 0
+    for t, end in enumerate(islice(ends, first, stop), first):
         packed = t.to_bytes(_TXN_BYTES, byteorder)
         for x in cells[start:end]:
             fills[x](packed)
         start = end
-    return HdrStore(db, db.row_lengths(), item_txns, [None] * db.item_count)
+    return item_txns
 
 
 # F of select_mode's density rule.
@@ -210,7 +245,8 @@ def count_supports(store: HdrStore, pdr: Pdr, tail, mode: CountMode = CountMode.
     appends each transaction to the list of every tail item its row holds
     and returns the lists; a Pdr holding every transaction returns the
     store's ``item_txns`` arrays, with no scan. Bitmap mode popcounts the
-    AND of the Pdr's mask (built here from a sequence Pdr) with each tail
+    AND of the Pdr's mask (its item's, from the store, for a root child's
+    Pdr, and otherwise built here from a sequence Pdr) with each tail
     item's mask and returns that one int mask, the same object, for every
     child. A mask Pdr counted horizontally raises ValueError. The Pdr is
     never changed. Both modes give identical supports and bill identical
@@ -240,8 +276,13 @@ def count_supports(store: HdrStore, pdr: Pdr, tail, mode: CountMode = CountMode.
                         occurrences.append(t)
         children = [(y, len(delivered[y]), delivered[y]) for y in tail]
     else:
-        bits = txns.bits if isinstance(txns, TidMask) else _mask_of(txns, store.txn_count)
         tidmask = store.tidmask
+        if isinstance(txns, TidMask):
+            bits = txns.bits
+        elif pdr.item is not None:
+            bits = tidmask(pdr.item)
+        else:
+            bits = _mask_of(txns, store.txn_count)
         children = [(y, (bits & tidmask(y)).bit_count(), bits) for y in tail]
     if counters is not None:
         counters.cells_touched += sum(support for _, support, _ in children)
@@ -250,8 +291,11 @@ def count_supports(store: HdrStore, pdr: Pdr, tail, mode: CountMode = CountMode.
 
 def project_vertical(store: HdrStore, parent: Pdr, txns: Sequence[int] | int, y: int) -> Pdr:
     """The Pdr of the child on item y, from what ``count_supports``
-    returned for it under ``parent``: a sequence as it is, the node's mask
-    ANDed with y's mask as a TidMask. The parent goes
-    unread; the benchmark's span recorder (perfbench/spans.py) tells root
-    projections from scan projections by it and the store."""
-    return Pdr(TidMask(txns & store.tidmask(y)) if isinstance(txns, int) else txns)
+    returned for it under ``parent``: a sequence as it is, marked as y's
+    when it is y's ``item_txns`` array, the node's mask ANDed with y's mask
+    as a TidMask. The parent goes unread; the benchmark's span recorder
+    (perfbench/spans.py) tells root projections from scan projections by it
+    and the store."""
+    if isinstance(txns, int):
+        return Pdr(TidMask(txns & store.tidmask(y)))
+    return Pdr(txns, y if txns is store.item_txns[y] else None)

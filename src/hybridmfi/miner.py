@@ -97,6 +97,11 @@ class MfiStore:
         confirms it once a mine is done."""
         if self.covers_mask(mask):
             return False
+        self._insert(mask, support)
+        return True
+
+    def _insert(self, mask: int, support: int) -> None:
+        """Store ``mask`` with ``support`` after the last set, unchecked."""
         bit = 1 << len(self._masks)
         self._masks.append(mask)
         self._supports.append(support)
@@ -108,7 +113,6 @@ class MfiStore:
             low = m & -m
             holders[low.bit_length() - 1] |= bit
             m ^= low
-        return True
 
     def check_antichain(self) -> None:
         """Raise AssertionError if a stored itemset lies inside another,
@@ -340,18 +344,24 @@ def _merge(root_children: list, own: MfiStore, masks: list[int],
     fresh store in root-child order: root child i's sets, from the half
     that mined it, before child i + 1's. A set from child i's subtree holds
     its item and no earlier child's, so each half's next set belongs to
-    child i exactly when it holds child i's item. ``add`` drops what a set
-    from an earlier subtree covers."""
+    child i exactly when it holds child i's item. A set is dropped if a
+    set the other half found in an earlier root subtree covers it: its own
+    half's earlier sets were checked when it was mined, and no later
+    subtree's set holds its root child's item."""
     merged = MfiStore(len(own._holders))
     halves = [(own._masks, own._supports), (masks, supports)]
     taken = [0, 0]
+    placed = [0, 0]  # the merged positions of each half's sets
     for i, (x, _, _) in enumerate(root_children):
-        half_masks, half_supports = halves[i & 1]
-        p = taken[i & 1]
+        half = i & 1
+        half_masks, half_supports = halves[half]
+        p = taken[half]
         while p < len(half_masks) and half_masks[p] >> x & 1:
-            merged.add(half_masks[p], half_supports[p])
+            if not merged._holding(half_masks[p], placed[1 - half]):
+                placed[half] |= 1 << len(merged)
+                merged._insert(half_masks[p], half_supports[p])
             p += 1
-        taken[i & 1] = p
+        taken[half] = p
     if taken != [len(own), len(masks)]:
         raise AssertionError("a mined set holds no item of the root child that mined it")
     return merged

@@ -115,10 +115,11 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on t
 
 @contextlib.contextmanager
 def forced_split():
-    """Force every mine whose root has two children or more, and every read
-    of a regular file with a line after its midpoint, into two processes:
-    both size gates at 0 and two usable CPUs reported, whatever the host
-    has. Yields the list of worker pids forked so far."""
+    """Force every mine whose root has two children or more, every read of
+    a regular file with a line after its midpoint, every prune that drops
+    an item and every build into two processes: the three size gates at 0
+    and two usable CPUs reported, whatever the host has. Yields the list of
+    worker pids forked so far."""
     forked = []
     fork = os.fork
 
@@ -131,6 +132,7 @@ def forced_split():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(miner, "_SPLIT_CELLS", 0)
         patch.setattr(dataset, "_SPLIT_BYTES", 0)
+        patch.setattr(dataset, "_SPLIT_SETUP_CELLS", 0)
         patch.setattr(forking, "_usable_cpus", lambda: 2)
         patch.setattr(os, "fork", counting_fork)
         yield forked

@@ -790,3 +790,116 @@ def test_read_streams_a_fifo_in_one_process(tmp_path):
         writer.wait(timeout=30)
     assert forked == []
     assert_same_database(read_fimi(source), raw)
+
+
+# Pruning in two processes. Every test below forces the split (conftest's
+# forced_split): the cell gate at 0 and two usable CPUs reported, whatever
+# the host has. The caller prunes the first half of the rows, the worker
+# the second.
+
+
+def test_forced_split_opens_the_cell_gate():
+    gate = dataset._SPLIT_SETUP_CELLS
+    assert gate > 0
+    with forced_split():
+        assert dataset._SPLIT_SETUP_CELLS == 0
+    assert dataset._SPLIT_SETUP_CELLS == gate
+
+
+def prune_both_ways(raw: RawDatabase, minsup: int):
+    """A one-process prune of ``raw``, a prune forced into two processes,
+    and the number of workers forked."""
+    one = prune_and_remap(raw, minsup)
+    with forced_split() as forked:
+        two = prune_and_remap(raw, minsup)
+    assert_no_child_left()
+    return one, two, len(forked)
+
+
+def assert_same_fields(one, two):
+    """``two`` equals ``one`` field by field, each field of the same type
+    and each array of the same typecode."""
+    assert type(two) is type(one)
+    for field in fields(one):
+        mine, theirs = getattr(one, field.name), getattr(two, field.name)
+        assert type(theirs) is type(mine), field.name
+        if isinstance(mine, array):
+            assert theirs.typecode == mine.typecode, field.name
+        assert theirs == mine, field.name
+
+
+def assert_split_prune_matches(raw: RawDatabase, minsup: int) -> int:
+    """Check that a prune forced into two processes equals a one-process
+    prune, forking only when an item drops; the number of workers forked."""
+    (db, labels), (split_db, split_labels), forked = prune_both_ways(raw, minsup)
+    assert forked == (min(raw.supports, default=minsup) < minsup)
+    assert split_labels == labels
+    assert_same_fields(db, split_db)
+    return forked
+
+
+SPLIT_PRUNES = {  # rows of the first half, rows of the second, minsup
+    "rows_empty_only_in_the_workers_half": ([(1, 2), (1, 3), (1, 2)], [(9,), (1,), (8,)], 2),
+    "first_half_loses_every_row": ([(7,), (8,), (9,)], [(1, 2), (1, 2), (1,)], 2),
+    "second_half_loses_every_row": ([(1, 2), (1, 2), (1,)], [(7,), (8,), (9,)], 2),
+    "both_halves_lose_every_row": ([(1,), (2,)], [(3,), (4,)], 2),
+    "labels_of_one_half_only": ([(1, 2), (1, 2), (5,)], [(3, 4), (3, 4), (6,)], 2),
+    "one_row": ([], [(1, 2)], 2),
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("first, second, minsup", SPLIT_PRUNES.values(), ids=SPLIT_PRUNES)
+def test_prune_in_two_equals_one_process(first, second, minsup):
+    raw = RawDatabase.from_rows(first + second)
+    assert assert_split_prune_matches(raw, minsup) == 1
+    db, _ = prune_and_remap(raw, minsup)
+    assert len(db) == sum(any(raw.supports[raw.labels.index(x)] >= minsup for x in row)
+                          for row in first + second)
+
+
+@needs_fork
+@pytest.mark.parametrize("ranks, typecode", [(256, "B"), (257, "H")])
+def test_prune_in_two_packs_both_halves_at_the_total_rank_count(ranks, typecode):
+    # The first half holds only the lowest label, so its own rank count
+    # would fit one byte; the cells take the typecode of every survivor.
+    rows = [(1,)] * 4 + [(1, *range(2, ranks))] * 2 + [(ranks,)] * 2 + [(9999,)]
+    raw = RawDatabase.from_rows(rows)
+    assert assert_split_prune_matches(raw, 2) == 1
+    db, _ = prune_and_remap(raw, 2)
+    assert (db.item_count, db.cells.typecode) == (ranks, typecode)
+
+
+@needs_fork
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(text=fimi_texts(), minsup=st.integers(1, 6))
+def test_prune_in_two_equals_one_process_on_generated_texts(text, minsup):
+    assert_split_prune_matches(parse_fimi(text), minsup)
+
+
+@needs_fork
+def test_prune_in_two_on_seeded_databases():
+    forks = 0
+    for seed in range(40):
+        raw = gen_sparse(20 + 13 * seed, 10 + seed, 2 + seed % 5, seed)
+        for minsup in (2, len(raw) // 8, len(raw) // 2):
+            forks += assert_split_prune_matches(raw, minsup)
+    assert forks > 60
+
+
+@needs_fork
+def test_prune_in_two_raises_what_the_worker_raised(monkeypatch):
+    parent = os.getpid()
+    packed_cells = dataset._packed_cells
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise KeyError("injected")
+        return packed_cells(*args)
+
+    monkeypatch.setattr(dataset, "_packed_cells", failing)
+    raw = gen_sparse(300, 30, 6, 4)
+    with forced_split() as forked, pytest.raises(KeyError, match="injected"):
+        prune_and_remap(raw, 30)
+    assert len(forked) == 1
+    assert_no_child_left()

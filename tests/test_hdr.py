@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import os
 import random
 import tracemalloc
 from array import array
@@ -25,7 +26,9 @@ from hybridmfi import (
 from hybridmfi import hdr
 from hybridmfi.hdr import TidMask, _indices, _mask_of
 
-from conftest import txn_list, verify_counts
+from conftest import (
+    assert_no_child_left, forced_split, needs_fork, sweep_databases, txn_list, verify_counts,
+)
 
 
 def clone_store(store):
@@ -379,7 +382,7 @@ def test_project_leaves_parent_untouched(tiny_ms2):
         for y, _, child in children:
             project_vertical(store, parent, child, y)
         assert parent.txns is txns and list(txns) == before == [1, 2, 3, 4]
-        assert type(txns) is array and parent == Pdr(array("i", before))
+        assert type(txns) is array and parent == Pdr(array("i", before), 2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         parent.txns = []
 
@@ -391,8 +394,11 @@ def test_root_pdr_cells_is_cell_count(tiny_ms1):
     assert list(root.txns) == list(range(store.txn_count))
     assert sum(store.row_cells[t] for t in root.txns) == store.cell_count == 11
     # The store and the Pdrs keep only state the engine reads and cannot
-    # derive: the cell total is a property, a mask's size its popcount.
-    assert [field.name for field in dataclasses.fields(root)] == ["txns"]
+    # derive: the cell total is a property, a mask's size its popcount. A
+    # Pdr's item, which only a root child's has, saves a bitmap count from
+    # building the mask of an item the store already keeps.
+    assert [field.name for field in dataclasses.fields(root)] == ["txns", "item"]
+    assert root.item is None
     assert [field.name for field in dataclasses.fields(HdrStore)] == \
         ["db", "row_cells", "item_txns", "item_tidmask"]
     assert TidMask.__slots__ == ("bits",)
@@ -588,3 +594,72 @@ def test_verify_counts_catches_wrong_tidmask(tiny_ms2):
         supports(count_supports(broken, broken.root_pdr(), tail, CountMode.HORIZONTAL))
     assert verify_counts(store, store.root_pdr(), tail)
     assert not verify_counts(broken, broken.root_pdr(), tail)
+
+
+# Building in two processes. Every test below forces the split (conftest's
+# forced_split): the cell gate at 0 and two usable CPUs reported, whatever
+# the host has. The caller fills each item's sequence from the first half
+# of the rows, the worker from the second.
+
+
+def assert_split_build_matches(db):
+    """Check that a build forced into two processes, one worker forked,
+    equals a one-process build field by field."""
+    one = build_hdr(db)
+    with forced_split() as forked:
+        two = build_hdr(db)
+    assert_no_child_left()
+    assert len(forked) == 1
+    assert two.db is one.db
+    assert type(two.row_cells) is list and two.row_cells == one.row_cells
+    assert [(type(txns), txns.typecode) for txns in two.item_txns] == \
+        [(array, "i")] * db.item_count
+    assert two.item_txns == one.item_txns
+    assert two.item_tidmask == one.item_tidmask == [None] * db.item_count
+
+
+SPLIT_BUILDS = {
+    "empty": ("", 1),
+    "one_row": ("1 2\n", 1),
+    "items_of_one_half_only": ("1 2\n1 2\n3\n3\n", 2),
+    "256_ranks": ("".join(f"{x} {x + 1}\n" for x in range(255)), 1),
+    "257_ranks": ("".join(f"{x} {x + 1}\n" for x in range(256)), 1),
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("text, minsup", SPLIT_BUILDS.values(), ids=SPLIT_BUILDS)
+def test_build_in_two_equals_one_process(text, minsup):
+    db, _ = prune_and_remap(parse_fimi(text), minsup)
+    assert_split_build_matches(db)
+
+
+def test_build_in_two_covers_both_rank_typecodes():
+    counts = {name: prune_and_remap(parse_fimi(text), minsup)[0].cells.typecode
+              for name, (text, minsup) in SPLIT_BUILDS.items() if "ranks" in name}
+    assert counts == {"256_ranks": "B", "257_ranks": "H"}
+
+
+@needs_fork
+def test_build_in_two_equals_one_process_on_the_sweep():
+    for seed, _, db in sweep_databases():
+        if seed % 5 == 0:
+            assert_split_build_matches(db)
+
+
+@needs_fork
+def test_build_in_two_raises_what_the_worker_raised(monkeypatch):
+    parent = os.getpid()
+    item_txns = hdr._item_txns
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise KeyError("injected")
+        return item_txns(*args)
+
+    monkeypatch.setattr(hdr, "_item_txns", failing)
+    db, _ = prune_and_remap(gen_sparse(300, 30, 6, 4), 3)
+    with forced_split() as forked, pytest.raises(KeyError, match="injected"):
+        build_hdr(db)
+    assert len(forked) == 1
+    assert_no_child_left()

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import itertools
 import os
@@ -549,6 +550,38 @@ def test_leave_one_out_path_holds_one_mask_per_frame():
     assert peak < 25 * 2**20, peak
 
 
+def test_each_item_array_becomes_a_mask_once(monkeypatch):
+    # On the dense database AUTO counts most root children by bitmap, and
+    # their items are also tail items of earlier siblings' bitmap counts:
+    # the child's count takes the store's mask of its item, built once.
+    db, _ = prune_and_remap(gen_sparse(5000, 80, 25, 3), 350)
+    store = build_hdr(db)
+    assert store.cell_count < miner._SPLIT_CELLS  # the whole mine is in this process
+    arrays = {id(txns): x for x, txns in enumerate(store.item_txns)}
+    made = collections.Counter()
+    mask_of = hdr._mask_of
+
+    def counting(indices, width):
+        if id(indices) in arrays:
+            made[arrays[id(indices)]] += 1
+        return mask_of(indices, width)
+
+    monkeypatch.setattr(hdr, "_mask_of", counting)
+    counted = []
+    count = miner.count_supports
+
+    def counting_roots(store, pdr, tail, mode, counters):
+        if pdr.item is not None and hdr.select_mode(store, pdr) is CountMode.BITMAP:
+            counted.append(pdr.item)
+        return count(store, pdr, tail, mode, counters)
+
+    monkeypatch.setattr(miner, "count_supports", counting_roots)
+    result = mine_mfi(store, MinerConfig(minsup=350))
+    assert list(result) == list(mine_bitmap_baseline(db, 350))
+    assert len(counted) > 40 and set(counted) <= set(made)
+    assert max(made.values()) == 1, {x: n for x, n in made.items() if n > 1}
+
+
 # Mining in two processes. Every test below forces the split (conftest's
 # forced_split): the cell gate at 0 and two usable CPUs reported, whatever
 # the host has.
@@ -560,8 +593,9 @@ def mine_both_ways(db, config):
     runs = []
     for split in (False, True):
         counters, stats = CostCounters(), SearchStats()
+        store = build_hdr(db)
         with forced_split() if split else contextlib.nullcontext([]) as forked:
-            result = mine_mfi(build_hdr(db), config, counters=counters, stats=stats)
+            result = mine_mfi(store, config, counters=counters, stats=stats)
         runs.append((render_mfi(result, list(range(db.item_count))), list(result),
                      stats.nodes_explored, counters.cells_touched))
     return runs[0], runs[1], len(forked)
@@ -606,8 +640,9 @@ def test_split_keeps_the_sets_of_a_root_with_few_children(text, minsup, expected
     # first splits, and the worker's {1} lies inside the {1, 2} the parent
     # found first, so the merge drops it.
     db, labels = prune_and_remap(parse_fimi(text), minsup)
+    store = build_hdr(db)
     with forced_split() as forked:
-        result = mine_mfi(build_hdr(db), MinerConfig(minsup=minsup, enable_pep=pep))
+        result = mine_mfi(store, MinerConfig(minsup=minsup, enable_pep=pep))
     assert [(tuple(labels[r] for r in sorted(ranks)), s) for ranks, s in result] == expected
     assert len(forked) == (splits_without_pep and not pep)
     assert_no_child_left()
@@ -649,8 +684,9 @@ def fail_in(monkeypatch, process, exc):
 
 @needs_fork
 def test_split_leaves_no_child_after_a_normal_return():
+    store = build_hdr(split_database())
     with forced_split() as forked:
-        mine_mfi(build_hdr(split_database()), MinerConfig(minsup=3))
+        mine_mfi(store, MinerConfig(minsup=3))
     assert len(forked) == 1
     assert_no_child_left()
 
@@ -677,8 +713,9 @@ def test_split_falls_back_to_one_process_when_fork_fails():
 @pytest.mark.parametrize("exc", [ValueError, AssertionError, KeyError, MemoryError])
 def test_split_raises_what_either_half_raised(monkeypatch, process, exc):
     fail_in(monkeypatch, process, exc("injected"))
+    store = build_hdr(split_database())
     with forced_split() as forked, pytest.raises(exc, match="injected"):
-        mine_mfi(build_hdr(split_database()), MinerConfig(minsup=3))
+        mine_mfi(store, MinerConfig(minsup=3))
     assert len(forked) == 1
     assert_no_child_left()
 
@@ -686,10 +723,13 @@ def test_split_raises_what_either_half_raised(monkeypatch, process, exc):
 @needs_fork
 @pytest.mark.parametrize("exc, code", [(ValueError, 2), (AssertionError, 3)])
 def test_worker_failure_keeps_the_cli_exit_codes(monkeypatch, capsys, exc, code):
+    # Every item survives minsup 3, so the prune shares the raw rows and
+    # forks no worker; the build forks one and the mine, which fails in its
+    # worker, the other.
     fail_in(monkeypatch, "worker", exc("injected"))
     with forced_split() as forked:
         assert cli.main(["mine", "gen:300:30:6:4", "--minsup", "3"]) == code
-    assert len(forked) == 1
+    assert len(forked) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "injected" in captured.err
     assert_no_child_left()

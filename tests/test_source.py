@@ -122,9 +122,10 @@ def test_worker_lifetime_sits_in_the_fork_helper():
     # The fork, the pipe, the wait, the kill and the worker's exit are made
     # in one module, so each worker's lifetime is read in one place. So is
     # the one wire format, pickle, by which a worker's result or exception
-    # travels, and no module imports marshal, a second one.
+    # travels, encoded whole by the worker and decoded as it streams in by
+    # the caller, and no module imports marshal, a second one.
     names = {("os", name) for name in ("fork", "pipe", "waitpid", "kill", "_exit")}
-    names |= {("pickle", "dumps"), ("pickle", "loads")}
+    names |= {("pickle", "dumps"), ("pickle", "load")}
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
