@@ -389,7 +389,14 @@ def prune_and_remap(db: RawDatabase, minsup: int) -> tuple[TransactionDatabase, 
 
 
 # A raw database of at least this many cells is pruned, and a pruned one of
-# at least this many is built (hdr.build_hdr), in two processes.
+# at least this many is built (hdr.build_hdr), in two processes. Over 10
+# alternating fresh-process pairs a size of gen:N:1000:10:1 databases
+# (CPython 3.11.7, 2-core VM), pruned at minsup 3N/100 and built whole,
+# the split took (prune, build) 0.97x and 0.81x one process's time at 125k
+# cells, 0.84x and 0.72x at 250k and 0.81x and 0.74x at 500k, lower in 7,
+# 9 and 9-10 pairs of 10, while the host ran two busy processes on two
+# cores; in a stretch where it ran them at one core's speed the split
+# took 1.2-1.6x at every size.
 _SPLIT_SETUP_CELLS = 1 << 18
 
 
